@@ -11,41 +11,17 @@ from .errors import (
     DomainError,
     OracleFailureError,
     SelectionModelError,
-    UnsupportedOrderError,
 )
 from .esr_engine import (
+    DEFAULT_BUDGET,
     AsymptoticLine,
     EsrResult,
     asymptote_line,
     esr_asymptotic,
     esr_os_exact,
-    esr_os_exact_single_dest,
     esr_os_highsnr,
     esr_ss_exact,
     esr_ss_highsnr,
-    xi_identity_check,
-)
-from .index_algebra import (
-    DEFAULT_BUDGET,
-    AggregateSums,
-    IndexTuple,
-    enumerate_X,
-    enumerate_mnu,
-    mnu_count,
-    pos_to_sop_check,
-    x_count,
-)
-from .partial_fractions import (
-    PartialFractionExpansion,
-    Pole,
-    PoleStructure,
-    eval_J0_exact,
-    eval_J0_highsnr,
-    eval_J1_exact,
-    eval_J1_highsnr,
-    eval_J_asymptotic,
-    expand,
-    group_poles,
 )
 from .simulation import (
     ChannelRealization,
@@ -57,14 +33,6 @@ from .simulation import (
     quadrature_esr,
     select_os,
     select_ss,
-)
-from .special_functions import (
-    ScaledGamma,
-    exp_integral_e1,
-    harmonic,
-    log_binomial,
-    scaled_upper_incomplete_gamma,
-    upper_incomplete_gamma,
 )
 
 __version__ = "0.1.0"

@@ -269,6 +269,8 @@ def _validate_point(m: Dict[str, object], parser: argparse.ArgumentParser) -> No
             parser.error(f"--{key.replace('_', '-')} must lie in [0, 1)")
     if int(m["trials"]) < 1000:
         parser.error("--trials must be at least 1000")
+    if not 0 <= int(m["seed"]) < 2**64:
+        parser.error("--seed must lie in [0, 2**64)")
 
 
 def _methods_of(m: Dict[str, object]) -> List[str]:

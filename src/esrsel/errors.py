@@ -10,7 +10,6 @@ from __future__ import annotations
 __all__ = [
     "SelectionModelError",
     "DomainError",
-    "UnsupportedOrderError",
     "ContractError",
     "ComplexityBudgetError",
     "CancellationError",
@@ -24,14 +23,6 @@ class SelectionModelError(Exception):
 
 class DomainError(SelectionModelError, ValueError):
     """An argument is outside the mathematical domain of the operation."""
-
-
-class UnsupportedOrderError(DomainError):
-    """Integer order magnitude beyond the supported bound (|order| > 512).
-
-    Orders that large never arise for desk-scale configurations; hitting this
-    usually means a config error upstream.
-    """
 
 
 class ContractError(SelectionModelError, ValueError):

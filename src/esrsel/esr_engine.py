@@ -13,6 +13,11 @@ every weight factor depends only on per-member index sums, so the collapsed
 sum equals the enumerated one term by term (Vandermonde identities), at
 polynomial instead of exponential cost.
 
+There is one exact assembly and one ratio-form assembly (shared by the
+high-SNR and asymptotic routes), both for optimal selection (OS).  SS(K, L)
+is evaluated as OS(1, K·L), and L = 1 is the general case with one pole
+group.
+
 All assembly runs in mpmath at an adaptively chosen precision — the signed
 sums cancel catastrophically in float64 for the larger configurations.  The
 estimate is checked a posteriori against the recorded peak summand, and the
@@ -22,16 +27,15 @@ evaluation reruns at higher precision when the headroom is too small.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
-from typing import Callable, Dict, Iterator, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import mpmath as mp
 
 from .channel_model import SystemConfig
 from .errors import CancellationError, ComplexityBudgetError, ContractError, DomainError
-from .index_algebra import DEFAULT_BUDGET
 from .partial_fractions import (
     _GammaTable,
     _mag_ln,
@@ -47,15 +51,17 @@ __all__ = [
     "EsrResult",
     "AsymptoticLine",
     "esr_os_exact",
-    "esr_os_exact_single_dest",
     "esr_ss_exact",
     "esr_os_highsnr",
     "esr_ss_highsnr",
     "esr_asymptotic",
     "asymptote_line",
-    "xi_identity_check",
+    "DEFAULT_BUDGET",
 ]
 
+# Largest work estimate (``_os_exact_work``, ``_os_highsnr_work``) that a
+# closed-form evaluation may start with.
+DEFAULT_BUDGET = 10**8
 _LN10 = math.log(10.0)
 
 
@@ -267,25 +273,46 @@ def _cfg_extra_digits(cfg: SystemConfig) -> float:
     return extra
 
 
-def _dps_os_exact(cfg: SystemConfig) -> int:
-    K, L, M_D, M_E = cfg.K, cfg.L, cfg.M_D, cfg.M_E
-    worst = 25.0
+def _pole_groups(K: int, L: int) -> Iterator[Tuple[int, int, List[Tuple[int, int]]]]:
+    """Walk the OS sum's compositions.
+
+    For every power k ≤ K and every split ``comp`` of the k selected factors
+    over the subset sizes l = 1..L, yield (k, signed integer weight
+    (-1)^{k+1} C(K, k) multinomial(k; comp), active groups (l, c) with
+    c > 0).  Each active group contributes one pole χ = λ_D/(l λ_E).
+    """
     for k in range(1, K + 1):
-        beta = sum(range(1, L + 1)) * k / cfg.lambda_D  # upper bound on l̃/λ_D
+        outer = (-1) ** (k + 1) * math.comb(K, k)
         for comp in _compositions(k, L):
-            poles = [
-                (cfg.lambda_D / (l * cfg.lambda_E), c * (M_E + l * (M_D - 1)))
-                for l, c in zip(range(1, L + 1), comp)
-                if c > 0
-            ]
-            nu_max = sum(c * l * (M_D - 1) for l, c in zip(range(1, L + 1), comp))
-            zs = [beta * (1 + c) for c, _ in poles]
-            worst = max(worst, required_dps(poles, zs=zs, nu_max=nu_max, cap=10**9))
+            active = [(l, c) for l, c in zip(range(1, L + 1), comp) if c > 0]
+            yield k, outer * _multinomial(k, comp), active
+
+
+def _max_poles(
+    cfg: SystemConfig, active: List[Tuple[int, int]]
+) -> Tuple[List[Tuple[float, int]], int]:
+    """Float pole locations with their largest multiplicities, and the
+    largest kernel power ν, for one composition."""
+    M_D, M_E = cfg.M_D, cfg.M_E
+    poles = [
+        (cfg.lambda_D / (l * cfg.lambda_E), c * (M_E + l * (M_D - 1)))
+        for l, c in active
+    ]
+    return poles, sum(c * l * (M_D - 1) for l, c in active)
+
+
+def _dps_os_exact(cfg: SystemConfig) -> int:
+    worst = 25.0
+    for k, _, active in _pole_groups(cfg.K, cfg.L):
+        beta = sum(range(1, cfg.L + 1)) * k / cfg.lambda_D  # upper bound on l̃/λ_D
+        poles, nu_max = _max_poles(cfg, active)
+        zs = [beta * (1 + c) for c, _ in poles]
+        worst = max(worst, required_dps(poles, zs=zs, nu_max=nu_max, cap=10**9))
     return int(math.ceil(worst + _cfg_extra_digits(cfg)))
 
 
 def _os_exact_terms(cfg: SystemConfig) -> Tuple[mp.mpf, int, float]:
-    K, L, M_E = cfg.K, cfg.L, cfg.M_E
+    M_E = cfg.M_E
     lam_D, lam_E = mp.mpf(cfg.lambda_D), mp.mpf(cfg.lambda_E)
     v_tabs = _v_tables_exact(cfg, lam_D, lam_E)
     u_cache: Dict[Tuple[int, int], Dict[Tuple[int, int], mp.mpf]] = {}
@@ -301,79 +328,73 @@ def _os_exact_terms(cfg: SystemConfig) -> Tuple[mp.mpf, int, float]:
     total = mp.mpf(0)
     n_terms = 0
     peak = -math.inf
-    for k in range(1, K + 1):
-        outer = (-1) ** (k + 1) * math.comb(K, k)
-        for comp in _compositions(k, L):
-            active = [(l, c) for l, c in zip(range(1, L + 1), comp) if c > 0]
-            l_tilde = sum(l * c for l, c in active)
-            beta = l_tilde / lam_D
-            weight0 = outer * _multinomial(k, comp)
-            log_w0 = math.log(abs(weight0))
-            chis = [lam_D / (l * lam_E) for l, _ in active]
-            tables = {c: _GammaTable(beta * (1 + c)) for c in chis}
-            phi_cache: Dict[Tuple[int, int, int], Tuple[mp.mpf, float]] = {}
+    for _, weight0, active in _pole_groups(cfg.K, cfg.L):
+        l_tilde = sum(l * c for l, c in active)
+        beta = l_tilde / lam_D
+        log_w0 = math.log(abs(weight0))
+        chis = [lam_D / (l * lam_E) for l, _ in active]
+        # Keyed by the argument z = β(1+χ), as j0_exact_mp looks tables up.
+        zs = [beta * (1 + c) for c in chis]
+        tables = {z: _GammaTable(z) for z in zs}
+        phi_cache: Dict[Tuple[int, int, int], Tuple[mp.mpf, float]] = {}
 
-            def phi(g: int, t: int, nu: int) -> Tuple[mp.mpf, float]:
-                key = (g, t, nu)
-                if key not in phi_cache:
-                    phi_cache[key] = single_pole_integral_mp(
-                        nu, t, beta, chis[g], tables[chis[g]]
-                    )
-                return phi_cache[key]
+        def phi(g: int, t: int, nu: int) -> Tuple[mp.mpf, float]:
+            key = (g, t, nu)
+            if key not in phi_cache:
+                phi_cache[key] = single_pole_integral_mp(
+                    nu, t, beta, chis[g], tables[zs[g]]
+                )
+            return phi_cache[key]
 
-            rows_per_group = [u_rows(l, c) for l, c in active]
-            for n_vec in product(*[sorted(r) for r in rows_per_group]):
-                g_table = rows_per_group[0][n_vec[0]]
-                for g in range(1, len(active)):
-                    g_table = _conv1(g_table, rows_per_group[g][n_vec[g]])
-                poles = [
-                    (chis[g], c * M_E + n_vec[g]) for g, (_, c) in enumerate(active)
-                ]
-                bs = None
-                if len(poles) > 1:
-                    _, bs = pf_coefficients(0, False, poles)
-                for nu in sorted(g_table):
-                    gv = g_table[nu]
-                    if gv == 0:
-                        continue
-                    if nu == 0:
-                        j_val, j_peak = j0_exact_mp(poles, beta, tables)
-                    elif bs is None:
-                        j_val, j_peak = phi(0, poles[0][1], nu)
-                    else:
-                        j_val = mp.mpf(0)
-                        j_peak = -math.inf
-                        for g, (_, t_g) in enumerate(poles):
-                            for t in range(1, t_g + 1):
-                                b = bs[g][t - 1]
-                                if b == 0:
-                                    continue
-                                pv, pp = phi(g, t, nu)
-                                j_val += b * pv
-                                j_peak = max(j_peak, _mag_ln(b) + pp)
-                    total += weight0 * gv * j_val
-                    n_terms += 1
-                    peak = max(peak, log_w0 + _mag_ln(gv) + j_peak)
+        rows_per_group = [u_rows(l, c) for l, c in active]
+        for n_vec in product(*[sorted(r) for r in rows_per_group]):
+            g_table = rows_per_group[0][n_vec[0]]
+            for g in range(1, len(active)):
+                g_table = _conv1(g_table, rows_per_group[g][n_vec[g]])
+            poles = [
+                (chis[g], c * M_E + n_vec[g]) for g, (_, c) in enumerate(active)
+            ]
+            bs = None
+            if len(poles) > 1:
+                _, bs = pf_coefficients(0, False, poles)
+            for nu in sorted(g_table):
+                gv = g_table[nu]
+                if gv == 0:
+                    continue
+                if nu == 0:
+                    j_val, j_peak = j0_exact_mp(poles, beta, tables)
+                elif bs is None:
+                    j_val, j_peak = phi(0, poles[0][1], nu)
+                else:
+                    j_val = mp.mpf(0)
+                    j_peak = -math.inf
+                    for g, (_, t_g) in enumerate(poles):
+                        for t in range(1, t_g + 1):
+                            b = bs[g][t - 1]
+                            if b == 0:
+                                continue
+                            pv, pp = phi(g, t, nu)
+                            j_val += b * pv
+                            j_peak = max(j_peak, _mag_ln(b) + pp)
+                total += weight0 * gv * j_val
+                n_terms += 1
+                peak = max(peak, log_w0 + _mag_ln(gv) + j_peak)
     ln2 = mp.log(2)
     return total / ln2, n_terms, peak - float(mp.log(ln2))
 
 
 def _os_exact_work(cfg: SystemConfig) -> int:
     work = 0
-    for k in range(1, cfg.K + 1):
-        for comp in _compositions(k, cfg.L):
-            n_count = 1
-            nu_max = 0
-            for l, c in zip(range(1, cfg.L + 1), comp):
-                if c > 0:
-                    n_count *= c * l * (cfg.M_D - 1) + 1
-                    nu_max += c * l * (cfg.M_D - 1)
-            work += n_count * (nu_max + 1)
+    for _, _, active in _pole_groups(cfg.K, cfg.L):
+        n_count = 1
+        for l, c in active:
+            n_count *= c * l * (cfg.M_D - 1) + 1
+        work += n_count * (sum(c * l * (cfg.M_D - 1) for l, c in active) + 1)
     return work
 
 
 def _os_highsnr_terms(cfg: SystemConfig, asymptotic: bool) -> Tuple[mp.mpf, int, float]:
-    K, L, M_E = cfg.K, cfg.L, cfg.M_E
+    M_E = cfg.M_E
     lam_D, lam_E = mp.mpf(cfg.lambda_D), mp.mpf(cfg.lambda_E)
     v_tabs = _v_tables_highsnr(cfg, lam_D, lam_E)
     u_cache: Dict[Tuple[int, int], Dict[int, mp.mpf]] = {}
@@ -389,266 +410,47 @@ def _os_highsnr_terms(cfg: SystemConfig, asymptotic: bool) -> Tuple[mp.mpf, int,
     total = mp.mpf(0)
     n_terms = 0
     peak = -math.inf
-    for k in range(1, K + 1):
-        outer = (-1) ** (k + 1) * math.comb(K, k)
-        for comp in _compositions(k, L):
-            active = [(l, c) for l, c in zip(range(1, L + 1), comp) if c > 0]
-            weight0 = outer * _multinomial(k, comp)
-            log_w0 = math.log(abs(weight0))
-            chis = [lam_D / (l * lam_E) for l, _ in active]
-            tabs = [u_tab(l, c) for l, c in active]
-            for m_vec in product(*[sorted(t) for t in tabs]):
-                gv = mp.mpf(1)
-                for g, m in enumerate(m_vec):
-                    gv *= tabs[g][m]
-                nu = sum(m_vec)
-                poles = [
-                    (chis[g], c * M_E + m_vec[g]) for g, (_, c) in enumerate(active)
-                ]
-                if nu == 0:
-                    j_val, j_peak = j0_highsnr_mp(poles, asymptotic)
-                else:
-                    j_val, j_peak = j1_highsnr_mp(poles, nu, asymptotic)
-                total += weight0 * gv * j_val
-                n_terms += 1
-                peak = max(peak, log_w0 + _mag_ln(gv) + j_peak)
+    for _, weight0, active in _pole_groups(cfg.K, cfg.L):
+        log_w0 = math.log(abs(weight0))
+        chis = [lam_D / (l * lam_E) for l, _ in active]
+        tabs = [u_tab(l, c) for l, c in active]
+        for m_vec in product(*[sorted(t) for t in tabs]):
+            gv = mp.mpf(1)
+            for g, m in enumerate(m_vec):
+                gv *= tabs[g][m]
+            nu = sum(m_vec)
+            poles = [
+                (chis[g], c * M_E + m_vec[g]) for g, (_, c) in enumerate(active)
+            ]
+            if nu == 0:
+                j_val, j_peak = j0_highsnr_mp(poles, asymptotic)
+            else:
+                j_val, j_peak = j1_highsnr_mp(poles, nu, asymptotic)
+            total += weight0 * gv * j_val
+            n_terms += 1
+            peak = max(peak, log_w0 + _mag_ln(gv) + j_peak)
     ln2 = mp.log(2)
     return total / ln2, n_terms, peak - float(mp.log(ln2))
 
 
 def _os_highsnr_work(cfg: SystemConfig) -> int:
     work = 0
-    for k in range(1, cfg.K + 1):
-        for comp in _compositions(k, cfg.L):
-            m_count = 1
-            for l, c in zip(range(1, cfg.L + 1), comp):
-                if c > 0:
-                    m_count *= c * l * (cfg.M_D - 1) + 1
-            work += m_count
+    for _, _, active in _pole_groups(cfg.K, cfg.L):
+        m_count = 1
+        for l, c in active:
+            m_count *= c * l * (cfg.M_D - 1) + 1
+        work += m_count
     return work
 
 
 def _dps_os_highsnr(cfg: SystemConfig) -> int:
-    K, L, M_D, M_E = cfg.K, cfg.L, cfg.M_D, cfg.M_E
+    # Compositions with k < K are dominated by k = K ones (same poles, lower
+    # multiplicities), so walking every k gives the same maximum.
     worst = 25.0
-    for comp in _compositions(K, L):
-        poles = [
-            (cfg.lambda_D / (l * cfg.lambda_E), c * (M_E + l * (M_D - 1)))
-            for l, c in zip(range(1, L + 1), comp)
-            if c > 0
-        ]
-        nu_max = sum(c * l * (M_D - 1) for l, c in zip(range(1, L + 1), comp))
+    for _, _, active in _pole_groups(cfg.K, cfg.L):
+        poles, nu_max = _max_poles(cfg, active)
         worst = max(worst, required_dps(poles, nu_max=nu_max, cap=10**9))
     return int(math.ceil(worst))
-
-
-# --- single-destination (L = 1) explicit path ------------------------------
-
-
-def _os_l1_exact_terms(cfg: SystemConfig) -> Tuple[mp.mpf, int, float]:
-    K, M_D, M_E = cfg.K, cfg.M_D, cfg.M_E
-    lam_D, lam_E = mp.mpf(cfg.lambda_D), mp.mpf(cfg.lambda_E)
-    chi = lam_D / lam_E
-    base = {
-        (m, n): mp.mpf(math.comb(m, n) * _poch(M_E, n)) / math.factorial(m)
-        for m in range(M_D)
-        for n in range(m + 1)
-    }
-    total = mp.mpf(0)
-    n_terms = 0
-    peak = -math.inf
-    w_tab = None
-    for k in range(1, K + 1):
-        w_tab = base if w_tab is None else _conv2(w_tab, base)
-        outer = (-1) ** (k + 1) * math.comb(K, k)
-        log_outer = math.log(abs(outer))
-        beta = k / lam_D
-        e_k = mp.exp(beta)
-        table = _GammaTable(beta * (1 + chi))
-        tables = {chi: table}
-        j_cache: Dict[Tuple[int, int], Tuple[mp.mpf, float]] = {}
-        for (m_hat, n_hat), wv in sorted(w_tab.items()):
-            t_pole = k * M_E + n_hat
-            coef = (
-                wv
-                * mp.power(lam_D, k * M_E + n_hat - m_hat)
-                / mp.power(lam_E, k * M_E)
-                * e_k
-            )
-            for u in range(m_hat - n_hat + 1):
-                nu = n_hat + u
-                cu = (-1) ** (m_hat - n_hat - u) * math.comb(m_hat - n_hat, u)
-                key = (nu, t_pole)
-                if key not in j_cache:
-                    if nu == 0:
-                        j_cache[key] = j0_exact_mp([(chi, t_pole)], beta, tables)
-                    else:
-                        j_cache[key] = single_pole_integral_mp(
-                            nu, t_pole, beta, chi, table
-                        )
-                j_val, j_peak = j_cache[key]
-                total += outer * cu * coef * j_val
-                n_terms += 1
-                peak = max(
-                    peak,
-                    log_outer + math.log(abs(cu)) + _mag_ln(coef) + j_peak,
-                )
-    ln2 = mp.log(2)
-    return total / ln2, n_terms, peak - float(mp.log(ln2))
-
-
-def _dps_os_l1(cfg: SystemConfig, exact: bool) -> int:
-    K, M_D, M_E = cfg.K, cfg.M_D, cfg.M_E
-    chi = cfg.lambda_D / cfg.lambda_E
-    worst = 25.0
-    for k in range(1, K + 1):
-        t_max = k * (M_E + M_D - 1)
-        zs = [(k / cfg.lambda_D) * (1 + chi)] if exact else ()
-        nu_max = k * (M_D - 1)
-        worst = max(worst, required_dps([(chi, t_max)], zs=zs, nu_max=nu_max, cap=10**9))
-    return int(math.ceil(worst + _cfg_extra_digits(cfg)))
-
-
-def _os_l1_highsnr_terms(
-    cfg: SystemConfig, asymptotic: bool
-) -> Tuple[mp.mpf, int, float]:
-    K, M_D, M_E = cfg.K, cfg.M_D, cfg.M_E
-    lam_D, lam_E = mp.mpf(cfg.lambda_D), mp.mpf(cfg.lambda_E)
-    chi = lam_D / lam_E
-    base = {m: mp.mpf(_poch(M_E, m)) / math.factorial(m) for m in range(M_D)}
-    total = mp.mpf(0)
-    n_terms = 0
-    peak = -math.inf
-    w_tab = None
-    for k in range(1, K + 1):
-        w_tab = base if w_tab is None else _conv1(w_tab, base)
-        outer = (-1) ** (k + 1) * math.comb(K, k)
-        log_outer = math.log(abs(outer))
-        scale = mp.power(chi, k * M_E)
-        for m_hat, wv in sorted(w_tab.items()):
-            t_pole = k * M_E + m_hat
-            if m_hat == 0:
-                j_val, j_peak = j0_highsnr_mp([(chi, t_pole)], asymptotic)
-            else:
-                j_val, j_peak = j1_highsnr_mp([(chi, t_pole)], m_hat, asymptotic)
-            total += outer * scale * wv * j_val
-            n_terms += 1
-            peak = max(peak, log_outer + _mag_ln(scale * wv) + j_peak)
-    ln2 = mp.log(2)
-    return total / ln2, n_terms, peak - float(mp.log(ln2))
-
-
-# --- SS explicit path ------------------------------------------------------
-
-
-def _ss_exact_terms(cfg: SystemConfig) -> Tuple[mp.mpf, int, float]:
-    KL = cfg.K * cfg.L
-    M_D, M_E = cfg.M_D, cfg.M_E
-    lam_D, lam_E = mp.mpf(cfg.lambda_D), mp.mpf(cfg.lambda_E)
-    base = {m: mp.mpf(1) / math.factorial(m) for m in range(M_D)}
-    lame_me = mp.power(lam_E, M_E)
-    total = mp.mpf(0)
-    n_terms = 0
-    peak = -math.inf
-    w_tab = None
-    for k in range(1, KL + 1):
-        w_tab = base if w_tab is None else _conv1(w_tab, base)
-        outer = (-1) ** (k + 1) * math.comb(KL, k)
-        log_outer = math.log(abs(outer))
-        beta = k / lam_D
-        chi = lam_D / (k * lam_E)
-        e_k = mp.exp(beta)
-        table = _GammaTable(beta * (1 + chi))
-        tables = {chi: table}
-        j_cache: Dict[Tuple[int, int], Tuple[mp.mpf, float]] = {}
-        for m_hat, wv in sorted(w_tab.items()):
-            for n_hat in range(m_hat + 1):
-                t_pole = M_E + n_hat
-                coef = (
-                    wv
-                    * math.comb(m_hat, n_hat)
-                    * _poch(M_E, n_hat)
-                    * mp.power(lam_D, M_E + n_hat - m_hat)
-                    * e_k
-                    / (lame_me * mp.power(mp.mpf(k), M_E + n_hat))
-                )
-                for j in range(m_hat - n_hat + 1):
-                    nu = n_hat + j
-                    cj = (-1) ** (m_hat - n_hat - j) * math.comb(m_hat - n_hat, j)
-                    key = (nu, t_pole)
-                    if key not in j_cache:
-                        if nu == 0:
-                            j_cache[key] = j0_exact_mp([(chi, t_pole)], beta, tables)
-                        else:
-                            j_cache[key] = single_pole_integral_mp(
-                                nu, t_pole, beta, chi, table
-                            )
-                    j_val, j_peak = j_cache[key]
-                    total += outer * cj * coef * j_val
-                    n_terms += 1
-                    peak = max(
-                        peak,
-                        log_outer + math.log(abs(cj)) + _mag_ln(coef) + j_peak,
-                    )
-    ln2 = mp.log(2)
-    return total / ln2, n_terms, peak - float(mp.log(ln2))
-
-
-def _ss_highsnr_terms(cfg: SystemConfig, asymptotic: bool) -> Tuple[mp.mpf, int, float]:
-    KL = cfg.K * cfg.L
-    M_D, M_E = cfg.M_D, cfg.M_E
-    lam_D, lam_E = mp.mpf(cfg.lambda_D), mp.mpf(cfg.lambda_E)
-    base = {m: mp.mpf(1) / math.factorial(m) for m in range(M_D)}
-    lamd_me = mp.power(lam_D, M_E)
-    lame_me = mp.power(lam_E, M_E)
-    total = mp.mpf(0)
-    n_terms = 0
-    peak = -math.inf
-    w_tab = None
-    for k in range(1, KL + 1):
-        w_tab = base if w_tab is None else _conv1(w_tab, base)
-        outer = (-1) ** (k + 1) * math.comb(KL, k)
-        log_outer = math.log(abs(outer))
-        chi = lam_D / (k * lam_E)
-        for m_hat, wv in sorted(w_tab.items()):
-            t_pole = M_E + m_hat
-            coef = (
-                wv
-                * _poch(M_E, m_hat)
-                * lamd_me
-                / (lame_me * mp.power(mp.mpf(k), M_E + m_hat))
-            )
-            if m_hat == 0:
-                j_val, j_peak = j0_highsnr_mp([(chi, t_pole)], asymptotic)
-            else:
-                j_val, j_peak = j1_highsnr_mp([(chi, t_pole)], m_hat, asymptotic)
-            total += outer * coef * j_val
-            n_terms += 1
-            peak = max(peak, log_outer + _mag_ln(coef) + j_peak)
-    ln2 = mp.log(2)
-    return total / ln2, n_terms, peak - float(mp.log(ln2))
-
-
-def _dps_ss(cfg: SystemConfig, exact: bool) -> int:
-    KL = cfg.K * cfg.L
-    M_D, M_E = cfg.M_D, cfg.M_E
-    worst = 25.0
-    for k in range(1, KL + 1):
-        chi = cfg.lambda_D / (k * cfg.lambda_E)
-        t_max = M_E + k * (M_D - 1)
-        zs = [(k / cfg.lambda_D) * (1 + chi)] if exact else ()
-        worst = max(
-            worst, required_dps([(chi, t_max)], zs=zs, nu_max=k * (M_D - 1), cap=10**9)
-        )
-    return int(math.ceil(worst + _cfg_extra_digits(cfg)))
-
-
-def _ss_work(cfg: SystemConfig) -> int:
-    work = 0
-    for k in range(1, cfg.K * cfg.L + 1):
-        m_max = k * (cfg.M_D - 1)
-        work += (m_max + 1) * (m_max + 2) * (m_max + 3) // 6
-    return work
 
 
 # ---------------------------------------------------------------------------
@@ -660,74 +462,56 @@ def _budget_check(cfg: SystemConfig, work: int, budget: int) -> None:
         raise ComplexityBudgetError(cfg.K, cfg.L, cfg.M_D, work, budget)
 
 
+def _as_single_transmitter(cfg: SystemConfig) -> SystemConfig:
+    """SS(K, L) ≡ OS(1, K·L).
+
+    Destination-only selection picks the best of K·L i.i.d. destination
+    links, and the selected transmitter's eavesdropper SNR is an independent
+    Gamma(M_E, λ_E) draw; with one transmitter, optimal selection does
+    exactly that over its K·L destinations.
+    """
+    return replace(cfg, K=1, L=cfg.K * cfg.L)
+
+
+def _exact(cfg: SystemConfig, budget: int) -> Tuple[float, int, float]:
+    _budget_check(cfg, _os_exact_work(cfg), budget)
+    return _with_retry(lambda: _os_exact_terms(cfg), _dps_os_exact(cfg))
+
+
+def _ratio_form(cfg: SystemConfig, asymptotic: bool, budget: int) -> Tuple[float, int, float]:
+    _budget_check(cfg, _os_highsnr_work(cfg), budget)
+    return _with_retry(lambda: _os_highsnr_terms(cfg, asymptotic), _dps_os_highsnr(cfg))
+
+
 def esr_os_exact(cfg: SystemConfig, budget: int = DEFAULT_BUDGET) -> EsrResult:
     """Exact ESR under ratio-optimal pair selection (general K, L)."""
-    _budget_check(cfg, _os_exact_work(cfg), budget)
-    value, n_terms, peak = _with_retry(lambda: _os_exact_terms(cfg), _dps_os_exact(cfg))
-    return EsrResult(value, "OS", "exact", n_terms, peak)
-
-
-def esr_os_exact_single_dest(cfg: SystemConfig, budget: int = DEFAULT_BUDGET) -> EsrResult:
-    """Exact OS ESR via the explicit single-destination coefficients (L = 1)."""
-    if cfg.L != 1:
-        raise ContractError("single-destination path requires L = 1")
-    _budget_check(cfg, _ss_work(cfg), budget)
-    value, n_terms, peak = _with_retry(
-        lambda: _os_l1_exact_terms(cfg), _dps_os_l1(cfg, exact=True)
-    )
+    value, n_terms, peak = _exact(cfg, budget)
     return EsrResult(value, "OS", "exact", n_terms, peak)
 
 
 def esr_ss_exact(cfg: SystemConfig, budget: int = DEFAULT_BUDGET) -> EsrResult:
-    """Exact ESR under destination-SNR-only pair selection."""
-    _budget_check(cfg, _ss_work(cfg), budget)
-    value, n_terms, peak = _with_retry(lambda: _ss_exact_terms(cfg), _dps_ss(cfg, True))
+    """Exact ESR under destination-SNR-only pair selection, as OS(1, K·L)."""
+    value, n_terms, peak = _exact(_as_single_transmitter(cfg), budget)
     return EsrResult(value, "SS", "exact", n_terms, peak)
 
 
 def esr_os_highsnr(cfg: SystemConfig, budget: int = DEFAULT_BUDGET) -> EsrResult:
     """High-SNR OS ESR (ratio-form kernels; upper bound on the exact ESR)."""
-    if cfg.L == 1:
-        _budget_check(cfg, _ss_work(cfg), budget)
-        value, n_terms, peak = _with_retry(
-            lambda: _os_l1_highsnr_terms(cfg, False), _dps_os_l1(cfg, exact=False)
-        )
-    else:
-        _budget_check(cfg, _os_highsnr_work(cfg), budget)
-        value, n_terms, peak = _with_retry(
-            lambda: _os_highsnr_terms(cfg, False), _dps_os_highsnr(cfg)
-        )
+    value, n_terms, peak = _ratio_form(cfg, False, budget)
     return EsrResult(value, "OS", "high_snr", n_terms, peak, below_zero=value < 0)
 
 
 def esr_ss_highsnr(cfg: SystemConfig, budget: int = DEFAULT_BUDGET) -> EsrResult:
-    """High-SNR SS ESR (ratio-form kernels; upper bound on the exact ESR)."""
-    _budget_check(cfg, _ss_work(cfg), budget)
-    value, n_terms, peak = _with_retry(
-        lambda: _ss_highsnr_terms(cfg, False), _dps_ss(cfg, False)
-    )
+    """High-SNR SS ESR, as OS(1, K·L) (upper bound on the exact ESR)."""
+    value, n_terms, peak = _ratio_form(_as_single_transmitter(cfg), False, budget)
     return EsrResult(value, "SS", "high_snr", n_terms, peak, below_zero=value < 0)
 
 
 def esr_asymptotic(cfg: SystemConfig, scheme: str, budget: int = DEFAULT_BUDGET) -> EsrResult:
     """λ_D → ∞ asymptotic ESR value at the given configuration."""
     s = _norm_scheme(scheme)
-    if s == "OS":
-        if cfg.L == 1:
-            _budget_check(cfg, _ss_work(cfg), budget)
-            value, n_terms, peak = _with_retry(
-                lambda: _os_l1_highsnr_terms(cfg, True), _dps_os_l1(cfg, exact=False)
-            )
-        else:
-            _budget_check(cfg, _os_highsnr_work(cfg), budget)
-            value, n_terms, peak = _with_retry(
-                lambda: _os_highsnr_terms(cfg, True), _dps_os_highsnr(cfg)
-            )
-    else:
-        _budget_check(cfg, _ss_work(cfg), budget)
-        value, n_terms, peak = _with_retry(
-            lambda: _ss_highsnr_terms(cfg, True), _dps_ss(cfg, False)
-        )
+    os_cfg = cfg if s == "OS" else _as_single_transmitter(cfg)
+    value, n_terms, peak = _ratio_form(os_cfg, True, budget)
     return EsrResult(value, s, "asymptotic", n_terms, peak, below_zero=value < 0)
 
 
@@ -794,24 +578,3 @@ def asymptote_line(cfg: SystemConfig, scheme: str) -> AsymptoticLine:
         )
     return AsymptoticLine(1.0, offset)
 
-
-def xi_identity_check(m_hat: int, k: int, M_E: int) -> float:
-    """Directly evaluate the finite alternating sum Ξ(m̂, kM_E); equals 1.
-
-    Ξ = Σ_{v=0}^{m̂-1} (-1)^{m̂-v-1} Π_{u≠v}(kM_E + m̂ - u - 1) / (v! (m̂-v-1)!),
-    computed in exact rational arithmetic.
-    """
-    if m_hat < 1 or k < 1 or M_E < 1:
-        raise DomainError("xi_identity_check needs m_hat, k, M_E >= 1")
-    t = k * M_E
-    total = Fraction(0)
-    for v in range(m_hat):
-        num = 1
-        for u in range(m_hat):
-            if u != v:
-                num *= t + m_hat - u - 1
-        total += (
-            (-1) ** (m_hat - v - 1)
-            * Fraction(num, math.factorial(v) * math.factorial(m_hat - v - 1))
-        )
-    return float(total)

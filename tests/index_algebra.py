@@ -10,17 +10,22 @@ into one giant sum over tuples.  Each summand is indexed by
 and every closed-form factor depends on the indices only through the per-q
 hat sums (m̂_q, n̂_q, û_q summed over p) and the global tilde sums
 (l̃, m̃, ũ).  This module provides deterministic lexicographic streams over
-those sets, the exact counts (for the complexity budget), and a direct
-checker for the underlying algebraic identity.
+those sets, their exact counts, and direct checkers for the underlying
+algebraic identities.  No library route uses it: the closed forms collapse
+these sums by convolution (``esrsel.esr_engine``), and the tests use this
+enumeration as their naive per-term reference.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterator, Mapping, Sequence, Tuple
 
-from .errors import ComplexityBudgetError, DomainError
+from esrsel.errors import ComplexityBudgetError, DomainError
+from esrsel.esr_engine import DEFAULT_BUDGET
 
 __all__ = [
     "AggregateSums",
@@ -30,10 +35,8 @@ __all__ = [
     "mnu_count",
     "x_count",
     "pos_to_sop_check",
-    "DEFAULT_BUDGET",
+    "xi_identity_check",
 ]
-
-DEFAULT_BUDGET = 10**8
 
 MnuTriple = Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[int, ...]]
 
@@ -170,3 +173,25 @@ def aggregates_of(
         n_hat=n_hat,
         u_hat=u_hat,
     )
+
+
+def xi_identity_check(m_hat: int, k: int, M_E: int) -> float:
+    """Directly evaluate the finite alternating sum Ξ(m̂, kM_E); equals 1.
+
+    Ξ = Σ_{v=0}^{m̂-1} (-1)^{m̂-v-1} Π_{u≠v}(kM_E + m̂ - u - 1) / (v! (m̂-v-1)!),
+    computed in exact rational arithmetic.
+    """
+    if m_hat < 1 or k < 1 or M_E < 1:
+        raise DomainError("xi_identity_check needs m_hat, k, M_E >= 1")
+    t = k * M_E
+    total = Fraction(0)
+    for v in range(m_hat):
+        num = 1
+        for u in range(m_hat):
+            if u != v:
+                num *= t + m_hat - u - 1
+        total += (
+            (-1) ** (m_hat - v - 1)
+            * Fraction(num, math.factorial(v) * math.factorial(m_hat - v - 1))
+        )
+    return float(total)

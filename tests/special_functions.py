@@ -1,6 +1,8 @@
-"""Scalar special-function building blocks.
+"""Float special functions: an independent reference for the tests.
 
-Everything here is plain float arithmetic. The quantities the closed forms
+No library route uses this module; the closed forms run on the mpmath
+incomplete-gamma tables of ``esrsel.partial_fractions``.  Everything here is
+plain float arithmetic. The quantities the closed forms
 need are: the upper incomplete gamma Γ(a, x) at *integer* order a (including
 a ≤ 0, where Γ(0, x) = E1(x)), harmonic numbers, log-binomials, and an
 exponentially scaled gamma so products like e^{big}·Γ(a, big) never leave the
@@ -22,9 +24,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, UnsupportedOrderError
+from esrsel.errors import DomainError
 
 __all__ = [
+    "UnsupportedOrderError",
     "ScaledGamma",
     "upper_incomplete_gamma",
     "scaled_upper_incomplete_gamma",
@@ -36,6 +39,10 @@ __all__ = [
 
 _EULER_GAMMA = 0.5772156649015328606
 MAX_ORDER = 512
+
+
+class UnsupportedOrderError(DomainError):
+    """Integer order magnitude beyond the supported bound (|order| > 512)."""
 
 
 @dataclass(frozen=True)

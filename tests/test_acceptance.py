@@ -42,17 +42,16 @@ from esrsel.esr_engine import (
     esr_os_highsnr,
     esr_ss_exact,
     esr_ss_highsnr,
-    xi_identity_check,
 )
-from esrsel.index_algebra import pos_to_sop_check
-from esrsel.partial_fractions import expand, group_poles
 from esrsel.simulation import (
     _quadrature_esr_ratio_form,
     estimate_esr,
     paired_esr_difference,
     quadrature_esr,
 )
-from esrsel.special_functions import upper_incomplete_gamma
+from index_algebra import pos_to_sop_check, xi_identity_check
+from partial_fractions_float import expand, group_poles
+from special_functions import upper_incomplete_gamma
 
 LAMBDA_9DB = 10.0 ** 0.9  # 9 dB in linear units
 
@@ -120,6 +119,38 @@ def test_criterion_1_oracle_grid(grid):
     )
     assert not failures, f"closed form vs quadrature mismatches: {failures[:5]}"
     assert grid.elapsed < 600.0, f"grid comparison took {grid.elapsed:.0f}s (budget 600s)"
+
+
+def test_highsnr_oracle_grid():
+    # The high-SNR closed forms against quadrature of the gamma_D/gamma_E ratio
+    # model, over C1's shapes at lambda_D = 20 dB.  SS runs through the
+    # multi-group kernels at L = K·L, which C6 checks at only a few points.
+    quad_cache = {}
+    failures = []
+    worst = 0.0
+    points = 0
+    for (k, l, m_d, m_e), lam_e in itertools.product(SHAPES, (1.0, LAMBDA_9DB)):
+        cfg = SystemConfig(k, l, m_d, m_e, 100.0, lam_e)
+        for scheme in SCHEMES:
+            qkey = (1, k * l, m_d, m_e, 100.0, lam_e) if scheme == "SS" else (
+                k, l, m_d, m_e, 100.0, lam_e,
+            )
+            if qkey not in quad_cache:
+                qcfg = SystemConfig(*qkey)
+                quad_cache[qkey] = _quadrature_esr_ratio_form(qcfg, "OS").value
+            oracle = quad_cache[qkey]
+            closed = highsnr_value(scheme, cfg)
+            err = abs(closed - oracle) / oracle_tol(oracle)
+            worst = max(worst, err)
+            points += 1
+            if err > 1.0:
+                failures.append((scheme, cfg, closed, oracle))
+    print(
+        f"High-SNR oracle grid: {points - len(failures)}/{points} points within "
+        f"max(1e-6·value, 1e-8) of the ratio-model quadrature; worst error "
+        f"{worst:.1e} of the tolerance"
+    )
+    assert not failures, f"high-SNR closed form vs quadrature mismatches: {failures[:5]}"
 
 
 MC_POINTS = [

@@ -16,7 +16,7 @@ from esrsel.channel_model import (
     snr_pdf,
 )
 from esrsel.errors import DomainError
-from esrsel.special_functions import upper_incomplete_gamma
+from special_functions import upper_incomplete_gamma
 
 
 def rel_err(got, want):

@@ -3,11 +3,15 @@ config-file merging, and exit codes."""
 
 import csv
 import io
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import esrsel
 from esrsel.cli import CSV_HEADER, figure_preset, main
 
 X1 = 2.1004124800191777  # quadrature value at (1,1,1,1,10,1)
@@ -268,6 +272,32 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as e:
             main(["esr", "--method", "mc", "--trials", "500"])
         assert e.value.code == 2
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_out_of_range_seed_is_a_usage_error(self, tmp_path, source, seed):
+        # Run as a separate process so that a traceback would reach stderr.
+        argv = ["esr", "--method", "mc", "--trials", "1000"]
+        if source == "flag":
+            argv += ["--seed", str(seed)]
+        else:
+            cfgfile = tmp_path / "run.cfg"
+            cfgfile.write_text(f"seed = {seed}\n")
+            argv += ["--config", str(cfgfile)]
+        src = str(Path(esrsel.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "esrsel", *argv],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env=env,
+        )
+        assert proc.returncode == 2
+        assert "--seed must lie in [0, 2**64)" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
 
     @pytest.mark.skipif(shutil.which("esrsel") is None, reason="console script not on PATH")
     def test_console_script_wired(self):

@@ -19,14 +19,12 @@ from esrsel.esr_engine import (
     asymptote_line,
     esr_asymptotic,
     esr_os_exact,
-    esr_os_exact_single_dest,
     esr_os_highsnr,
     esr_ss_exact,
     esr_ss_highsnr,
-    xi_identity_check,
 )
-from esrsel.index_algebra import enumerate_X
-from esrsel.partial_fractions import eval_J0_exact, eval_J1_exact, group_poles
+from index_algebra import enumerate_X, xi_identity_check
+from partial_fractions_float import eval_J0_exact, eval_J1_exact, group_poles
 
 # Quadrature-oracle values (frozen first).
 X1 = 2.1004124800191777  # (K,L,M_D,M_E,λ_D,λ_E) = (1,1,1,1,10,1), either scheme
@@ -123,6 +121,10 @@ class TestExactValues:
         cfg = SystemConfig(k, L, m_d, m_e, lam_d, lam_e)
         assert rel_err(esr_os_exact(cfg).value, naive_os_exact(cfg)) < 1e-11
 
+    def test_single_destination_point_matches_oracle(self):
+        cfg = SystemConfig(2, 1, 3, 1, 31.6, 7.94)
+        assert rel_err(esr_os_exact(cfg).value, SD_ORACLE) < 1e-6
+
     def test_result_metadata(self):
         r = esr_os_exact(SystemConfig(2, 2, 2, 2, 10.0, 1.0))
         assert r.method == "exact"
@@ -136,28 +138,6 @@ class TestExactValues:
         cfg = SystemConfig(3, 2, 2, 2, 12.0, 3.0)
         assert esr_os_exact(cfg).value == esr_os_exact(cfg).value
         assert esr_ss_exact(cfg).value == esr_ss_exact(cfg).value
-
-
-class TestSingleDestinationFastPath:
-    def test_equals_general_path_minimal(self):
-        cfg = SystemConfig(1, 1, 1, 1, 1.0, 1.0)
-        fast = esr_os_exact_single_dest(cfg).value
-        general = esr_os_exact(cfg).value
-        assert abs(fast - general) <= 1e-12 * max(1.0, abs(general))
-
-    def test_equals_general_path_high_order(self):
-        cfg = SystemConfig(3, 1, 2, 2, 100.0, 8.0)
-        fast = esr_os_exact_single_dest(cfg).value
-        general = esr_os_exact(cfg).value
-        assert rel_err(fast, general) < 1e-10
-
-    def test_matches_quadrature_oracle(self):
-        cfg = SystemConfig(2, 1, 3, 1, 31.6, 7.94)
-        assert rel_err(esr_os_exact_single_dest(cfg).value, SD_ORACLE) < 1e-6
-
-    def test_rejects_multiple_destinations(self):
-        with pytest.raises(ContractError):
-            esr_os_exact_single_dest(SystemConfig(2, 2, 1, 1, 10.0, 1.0))
 
 
 class TestSchemeRelations:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from esrsel.errors import ComplexityBudgetError
-from esrsel.index_algebra import (
+from index_algebra import (
     aggregates_of,
     enumerate_X,
     enumerate_mnu,

@@ -14,8 +14,8 @@ import pytest
 from scipy.integrate import quad
 
 from esrsel.errors import ContractError
-from esrsel.index_algebra import AggregateSums, aggregates_of
-from esrsel.partial_fractions import (
+from index_algebra import AggregateSums, aggregates_of
+from partial_fractions_float import (
     eval_J0_exact,
     eval_J0_highsnr,
     eval_J1_exact,
@@ -24,7 +24,7 @@ from esrsel.partial_fractions import (
     expand,
     group_poles,
 )
-from esrsel.special_functions import upper_incomplete_gamma
+from special_functions import upper_incomplete_gamma
 
 # ∫_1^∞ e^-x / (x (x+1)) dx
 J0_EXACT_SINGLE = 0.08645856473543079

@@ -10,9 +10,10 @@ import math
 import mpmath as mp
 import pytest
 
-from esrsel.errors import DomainError, UnsupportedOrderError
-from esrsel.special_functions import (
+from esrsel.errors import DomainError
+from special_functions import (
     ScaledGamma,
+    UnsupportedOrderError,
     exp_integral_e1,
     harmonic,
     log_binomial,
