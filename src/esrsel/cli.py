@@ -269,6 +269,10 @@ def _validate_point(m: Dict[str, object], parser: argparse.ArgumentParser) -> No
             parser.error(f"--{key.replace('_', '-')} must lie in [0, 1)")
     if int(m["trials"]) < 1000:
         parser.error("--trials must be at least 1000")
+    _validate_seed(m, parser)
+
+
+def _validate_seed(m: Dict[str, object], parser: argparse.ArgumentParser) -> None:
     if not 0 <= int(m["seed"]) < 2**64:
         parser.error("--seed must lie in [0, 2**64)")
 
@@ -458,6 +462,7 @@ def figure_preset(name: str, trials: int = 100_000, seed: int = 12345) -> List[R
 
 def _cmd_figure(args, parser) -> int:
     m = _merged(args, parser)
+    _validate_seed(m, parser)
     rows = figure_preset(args.name, trials=int(m["trials"]), seed=int(m["seed"]))
     return _emit(rows, m.get("out"), args.jobs)
 

@@ -37,6 +37,7 @@ import mpmath as mp
 from .channel_model import SystemConfig
 from .errors import CancellationError, ComplexityBudgetError, ContractError, DomainError
 from .partial_fractions import (
+    Powers,
     _GammaTable,
     _mag_ln,
     j0_exact_mp,
@@ -336,13 +337,15 @@ def _os_exact_terms(cfg: SystemConfig) -> Tuple[mp.mpf, int, float]:
         # Keyed by the argument z = β(1+χ), as j0_exact_mp looks tables up.
         zs = [beta * (1 + c) for c in chis]
         tables = {z: _GammaTable(z) for z in zs}
+        # Reused within this composition only; see "Kernel reuse" in README.
+        powers: Powers = {}
         phi_cache: Dict[Tuple[int, int, int], Tuple[mp.mpf, float]] = {}
 
         def phi(g: int, t: int, nu: int) -> Tuple[mp.mpf, float]:
             key = (g, t, nu)
             if key not in phi_cache:
                 phi_cache[key] = single_pole_integral_mp(
-                    nu, t, beta, chis[g], tables[zs[g]]
+                    nu, t, beta, chis[g], tables[zs[g]], powers
                 )
             return phi_cache[key]
 
@@ -356,13 +359,13 @@ def _os_exact_terms(cfg: SystemConfig) -> Tuple[mp.mpf, int, float]:
             ]
             bs = None
             if len(poles) > 1:
-                _, bs = pf_coefficients(0, False, poles)
+                _, bs = pf_coefficients(0, False, poles, powers)
             for nu in sorted(g_table):
                 gv = g_table[nu]
                 if gv == 0:
                     continue
                 if nu == 0:
-                    j_val, j_peak = j0_exact_mp(poles, beta, tables)
+                    j_val, j_peak = j0_exact_mp(poles, beta, tables, powers)
                 elif bs is None:
                     j_val, j_peak = phi(0, poles[0][1], nu)
                 else:
@@ -414,6 +417,7 @@ def _os_highsnr_terms(cfg: SystemConfig, asymptotic: bool) -> Tuple[mp.mpf, int,
         log_w0 = math.log(abs(weight0))
         chis = [lam_D / (l * lam_E) for l, _ in active]
         tabs = [u_tab(l, c) for l, c in active]
+        powers: Powers = {}  # reused within this composition only
         for m_vec in product(*[sorted(t) for t in tabs]):
             gv = mp.mpf(1)
             for g, m in enumerate(m_vec):
@@ -423,9 +427,9 @@ def _os_highsnr_terms(cfg: SystemConfig, asymptotic: bool) -> Tuple[mp.mpf, int,
                 (chis[g], c * M_E + m_vec[g]) for g, (_, c) in enumerate(active)
             ]
             if nu == 0:
-                j_val, j_peak = j0_highsnr_mp(poles, asymptotic)
+                j_val, j_peak = j0_highsnr_mp(poles, asymptotic, powers)
             else:
-                j_val, j_peak = j1_highsnr_mp(poles, nu, asymptotic)
+                j_val, j_peak = j1_highsnr_mp(poles, nu, asymptotic, powers)
             total += weight0 * gv * j_val
             n_terms += 1
             peak = max(peak, log_w0 + _mag_ln(gv) + j_peak)

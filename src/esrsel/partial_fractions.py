@@ -21,6 +21,12 @@ plus up/down recurrences.
 The alternating partial-fraction coefficients reach ~c^{-T}, so recombining
 them loses roughly Σ_g T_g·log10((1+c_g)/c_g) digits; the core therefore runs
 in mpmath at an adaptively estimated precision; callers round to float.
+
+Binomial coefficients C(n, k) are exact Python integers (``math.comb``), not
+``mp.binomial`` values: an int times an mpf rounds once, to the same result,
+at a fraction of the cost.  Every kernel takes an optional ``powers`` dict
+through which a caller shares ``mp.power`` results between kernel calls made
+at one working precision (see ``_power``).
 """
 
 from __future__ import annotations
@@ -43,6 +49,10 @@ __all__ = [
 
 _LN2 = math.log(2.0)
 _LN10 = math.log(10.0)
+
+# mp.power(x, n) results keyed (x, n), shared between kernel calls at one
+# working precision; see ``_power``.
+Powers = Dict[Tuple[mp.mpf, int], mp.mpf]
 
 # ---------------------------------------------------------------------------
 # mp core: incomplete-gamma tables
@@ -116,10 +126,26 @@ def required_dps(
 # mp core: residue recursion
 
 
+def _power(x: mp.mpf, n: int, powers: Optional[Powers]) -> mp.mpf:
+    """``mp.power(x, n)``, reused from ``powers`` when the caller passes one.
+
+    A power depends on the working precision, so a ``powers`` dict must
+    never outlive the precision it was filled at.
+    """
+    if powers is None:
+        return mp.power(x, n)
+    key = (x, n)
+    value = powers.get(key)
+    if value is None:
+        value = powers[key] = mp.power(x, n)
+    return value
+
+
 def pf_coefficients(
     num_pow: int,
     with_origin: bool,
     poles: Sequence[Tuple[mp.mpf, int]],
+    powers: Optional[Powers] = None,
 ) -> Tuple[Optional[mp.mpf], List[List[mp.mpf]]]:
     """Partial fractions of x^{num_pow} / (x^{o} Π_g (x+c_g)^{T_g}).
 
@@ -133,16 +159,16 @@ def pf_coefficients(
     if with_origin:
         a_coeff = mp.mpf(1)
         for c, T in poles:
-            a_coeff /= mp.power(c, T)
+            a_coeff /= _power(c, T, powers)
     out: List[List[mp.mpf]] = []
     p_tilde = num_pow - (1 if with_origin else 0)
     for g, (c_g, T_g) in enumerate(poles):
         x0 = -c_g
+        diffs = [(c_h - c_g, T_h) for h, (c_h, T_h) in enumerate(poles) if h != g]
         # φ_g(-c_g) = (-c_g)^{p̃} / Π_{h≠g} (c_h - c_g)^{T_h}
-        phi = mp.power(x0, p_tilde) if p_tilde != 0 else mp.mpf(1)
-        for h, (c_h, T_h) in enumerate(poles):
-            if h != g:
-                phi /= mp.power(c_h - c_g, T_h)
+        phi = _power(x0, p_tilde, powers) if p_tilde != 0 else mp.mpf(1)
+        for d, T_h in diffs:
+            phi /= _power(d, T_h, powers)
         # g^{(j)}(-c_g) = (-1)^{j-1} (j-1)! [p̃/x0^j - Σ_{h≠g} T_h/(x0+c_h)^j]
         max_n = T_g - 1
         gder = [mp.mpf(0)] * (max_n + 1)
@@ -152,16 +178,15 @@ def pf_coefficients(
                 fact *= j - 1
             s = mp.mpf(0)
             if p_tilde != 0:
-                s += p_tilde / mp.power(x0, j)
-            for h, (c_h, T_h) in enumerate(poles):
-                if h != g:
-                    s -= T_h / mp.power(c_h - c_g, j)
+                s += p_tilde / _power(x0, j, powers)
+            for d, T_h in diffs:
+                s -= T_h / _power(d, j, powers)
             gder[j] = (-1) ** (j - 1) * fact * s
         r = [mp.mpf(1)] + [mp.mpf(0)] * max_n
         for n in range(1, max_n + 1):
             acc = mp.mpf(0)
             for j in range(n):
-                acc += mp.binomial(n - 1, j) * gder[n - j] * r[j]
+                acc += math.comb(n - 1, j) * gder[n - j] * r[j]
             r[n] = acc
         b = [mp.mpf(0)] * T_g
         fct = mp.mpf(1)
@@ -173,10 +198,12 @@ def pf_coefficients(
     return a_coeff, out
 
 
-def _single_pole_origin_coeffs(c: mp.mpf, T: int) -> Tuple[mp.mpf, List[mp.mpf]]:
+def _single_pole_origin_coeffs(
+    c: mp.mpf, T: int, powers: Optional[Powers] = None
+) -> Tuple[mp.mpf, List[mp.mpf]]:
     """Closed-form coefficients of 1/(x (x+c)^T): A = c^{-T}, b_t = -c^{t-T-1}."""
-    a_coeff = mp.power(c, -T)
-    b = [-mp.power(c, t - T - 1) for t in range(1, T + 1)]
+    a_coeff = _power(c, -T, powers)
+    b = [-_power(c, t - T - 1, powers) for t in range(1, T + 1)]
     return a_coeff, b
 
 
@@ -195,13 +222,14 @@ def j0_exact_mp(
     poles: Sequence[Tuple[mp.mpf, int]],
     beta: mp.mpf,
     tables: Optional[Dict[object, _GammaTable]] = None,
+    powers: Optional[Powers] = None,
 ) -> Tuple[mp.mpf, float]:
     """∫_1^∞ e^{-βx} / (x Π_g (x+c_g)^{T_g}) dx."""
     if len(poles) == 1:
-        a_coeff, b_single = _single_pole_origin_coeffs(*poles[0])
+        a_coeff, b_single = _single_pole_origin_coeffs(*poles[0], powers)
         bs = [b_single]
     else:
-        a_coeff, bs = pf_coefficients(0, True, poles)
+        a_coeff, bs = pf_coefficients(0, True, poles, powers)
     if tables is None:
         tables = {}
     total = a_coeff * mp.e1(beta)
@@ -213,7 +241,7 @@ def j0_exact_mp(
             tab = tables[z] = _GammaTable(z)
         ebc = mp.exp(beta * c)
         for t in range(1, T + 1):
-            term = b[t - 1] * mp.power(beta, t - 1) * ebc * tab.get(1 - t)
+            term = b[t - 1] * _power(beta, t - 1, powers) * ebc * tab.get(1 - t)
             total += term
             peak = max(peak, _mag_ln(term))
     return total, peak
@@ -225,6 +253,7 @@ def single_pole_integral_mp(
     beta: mp.mpf,
     c: mp.mpf,
     table: Optional[_GammaTable] = None,
+    powers: Optional[Powers] = None,
 ) -> Tuple[mp.mpf, float]:
     """∫_1^∞ x^{ν-1} e^{-βx} / (x+c)^T dx for ν ≥ 1, single pole.
 
@@ -236,14 +265,15 @@ def single_pole_integral_mp(
     if table is None:
         table = _GammaTable(beta * (1 + c))
     ebc = mp.exp(beta * c)
+    neg_c = -c
     total = mp.mpf(0)
     peak = -math.inf
     for j in range(nu):
         term = (
-            mp.binomial(nu - 1, j)
-            * mp.power(-c, nu - 1 - j)
+            math.comb(nu - 1, j)
+            * _power(neg_c, nu - 1 - j, powers)
             * ebc
-            * mp.power(beta, T - j - 1)
+            * _power(beta, T - j - 1, powers)
             * table.get(j - T + 1)
         )
         total += term
@@ -255,6 +285,7 @@ def _log_rational_assembly(
     poles: Sequence[Tuple[mp.mpf, int]],
     bs: Sequence[Sequence[mp.mpf]],
     asymptotic: bool,
+    powers: Optional[Powers] = None,
 ) -> Tuple[mp.mpf, float]:
     """Σ_g [-b_{g,1} ln(1+c_g) + Σ_{t≥2} b_{g,t} (1+c_g)^{1-t}/(t-1)].
 
@@ -271,26 +302,31 @@ def _log_rational_assembly(
         total += term
         peak = max(peak, _mag_ln(term))
         for t in range(2, T + 1):
-            term = b[t - 1] * mp.power(base, 1 - t) / (t - 1)
+            term = b[t - 1] * _power(base, 1 - t, powers) / (t - 1)
             total += term
             peak = max(peak, _mag_ln(term))
     return total, peak
 
 
 def j0_highsnr_mp(
-    poles: Sequence[Tuple[mp.mpf, int]], asymptotic: bool = False
+    poles: Sequence[Tuple[mp.mpf, int]],
+    asymptotic: bool = False,
+    powers: Optional[Powers] = None,
 ) -> Tuple[mp.mpf, float]:
     """∫_1^∞ dx / (x Π_g (x+c_g)^{T_g}) (β = 0 ratio form)."""
     if len(poles) == 1:
-        _, b_single = _single_pole_origin_coeffs(*poles[0])
+        _, b_single = _single_pole_origin_coeffs(*poles[0], powers)
         bs = [b_single]
     else:
-        _, bs = pf_coefficients(0, True, poles)
-    return _log_rational_assembly(poles, bs, asymptotic)
+        _, bs = pf_coefficients(0, True, poles, powers)
+    return _log_rational_assembly(poles, bs, asymptotic, powers)
 
 
 def j1_highsnr_mp(
-    poles: Sequence[Tuple[mp.mpf, int]], nu: int, asymptotic: bool = False
+    poles: Sequence[Tuple[mp.mpf, int]],
+    nu: int,
+    asymptotic: bool = False,
+    powers: Optional[Powers] = None,
 ) -> Tuple[mp.mpf, float]:
     """∫_1^∞ x^{ν-1} dx / Π_g (x+c_g)^{T_g}, 1 ≤ ν ≤ ΣT_g - 1."""
     if nu < 1:
@@ -303,17 +339,18 @@ def j1_highsnr_mp(
     if len(poles) == 1:
         c, T = poles[0]
         base = c if asymptotic else (1 + c)
+        neg_c = -c
         total = mp.mpf(0)
         peak = -math.inf
         for j in range(nu):
             term = (
-                mp.binomial(nu - 1, j)
-                * mp.power(-c, nu - 1 - j)
-                * mp.power(base, j - T + 1)
+                math.comb(nu - 1, j)
+                * _power(neg_c, nu - 1 - j, powers)
+                * _power(base, j - T + 1, powers)
                 / (T - 1 - j)
             )
             total += term
             peak = max(peak, _mag_ln(term))
         return total, peak
-    _, bs = pf_coefficients(nu - 1, False, poles)
-    return _log_rational_assembly(poles, bs, asymptotic)
+    _, bs = pf_coefficients(nu - 1, False, poles, powers)
+    return _log_rational_assembly(poles, bs, asymptotic, powers)

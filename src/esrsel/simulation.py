@@ -3,8 +3,10 @@
 The Monte Carlo path synthesizes the per-pair channel taps (optionally with
 separable transmitter/path correlation), applies the selection rule per
 draw, and averages the clipped secrecy rate.  Substreams are counter-based:
-chunk i uses a Philox generator keyed seed ⊕ i with a fixed chunk size, so
-estimates are bit-reproducible and independent of any parallel scheduling.
+chunk i uses a Philox generator keyed by the two-word key (seed, i) with a
+fixed chunk size, so estimates are bit-reproducible and independent of any
+parallel scheduling, and no two (seed, chunk) pairs share a stream (Salmon et
+al., "Parallel random numbers: as easy as 1, 2, 3", SC'11).
 
 The quadrature path evaluates C = (1/ln 2) ∫_1^∞ (1 - F(x))/x dx directly
 from the model CDFs with nested adaptive Gauss–Kronrod integration — no
@@ -93,7 +95,7 @@ class McEstimate:
 
 
 def _substream(seed: int, chunk_index: int) -> np.random.Generator:
-    key = np.uint64(seed) ^ np.uint64(chunk_index)
+    key = np.array([seed, chunk_index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 

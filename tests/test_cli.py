@@ -273,11 +273,22 @@ class TestExitCodes:
             main(["esr", "--method", "mc", "--trials", "500"])
         assert e.value.code == 2
 
-    @pytest.mark.parametrize("source", ["flag", "config"])
-    @pytest.mark.parametrize("seed", [-1, 2**64])
-    def test_out_of_range_seed_is_a_usage_error(self, tmp_path, source, seed):
+    @pytest.mark.parametrize(
+        "seed,source,command",
+        [
+            pytest.param(seed, source, command,
+                         id=f"{seed}-{source}" + ("" if command == "esr" else f"-{command}"))
+            for command in ("esr", "figure")
+            for seed in (-1, 2**64)
+            for source in ("flag", "config")
+        ],
+    )
+    def test_out_of_range_seed_is_a_usage_error(self, tmp_path, seed, source, command):
         # Run as a separate process so that a traceback would reach stderr.
-        argv = ["esr", "--method", "mc", "--trials", "1000"]
+        if command == "esr":
+            argv = ["esr", "--method", "mc", "--trials", "1000"]
+        else:
+            argv = ["figure", "fig5", "--trials", "1000"]
         if source == "flag":
             argv += ["--seed", str(seed)]
         else:

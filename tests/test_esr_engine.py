@@ -8,13 +8,20 @@ recombination, and pins the term bookkeeping end to end.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath as mp
 import pytest
 
+import esrsel
 from esrsel.channel_model import SystemConfig
 from esrsel.errors import CancellationError, ComplexityBudgetError, ContractError
 from esrsel.esr_engine import (
+    _os_exact_terms,
+    _os_highsnr_terms,
     _with_retry,
     asymptote_line,
     esr_asymptotic,
@@ -23,6 +30,7 @@ from esrsel.esr_engine import (
     esr_ss_exact,
     esr_ss_highsnr,
 )
+from esrsel.simulation import _quadrature_esr_ratio_form, quadrature_esr
 from index_algebra import enumerate_X, xi_identity_check
 from partial_fractions_float import eval_J0_exact, eval_J1_exact, group_poles
 
@@ -330,3 +338,78 @@ class TestGuards:
         assert value == 2.5
         assert n_terms == 3
         assert peak == 4.0
+
+
+def _bits(r):
+    return r.value.hex(), r.term_count, r.max_log_term.hex()
+
+
+# One evaluation at a given precision, run by a fresh interpreter.  Poles
+# 64/l are exact binary numbers for l = 1, 2, so a power kept from a
+# lower-precision attempt would be found again by a later one.
+_DIRECT_RUN = """
+import sys
+from esrsel.channel_model import SystemConfig
+from esrsel.esr_engine import _os_exact_terms, _os_highsnr_terms, _with_retry
+route, dps = sys.argv[1], int(sys.argv[2])
+terms = _os_exact_terms if route == "exact" else lambda c: _os_highsnr_terms(c, False)
+cfg = SystemConfig(2, 2, 3, 3, 64.0, 1.0)
+value, n_terms, peak = _with_retry(lambda: terms(cfg), dps)
+print(value.hex(), n_terms, peak.hex())
+"""
+
+
+class TestKernelReuse:
+    """Integer binomials, and kernel powers reused within one composition,
+    so at one working precision only."""
+
+    CFG = SystemConfig(2, 2, 3, 3, 100.0, LAMBDA_9DB)
+
+    def test_no_mpmath_binomial_calls(self, monkeypatch):
+        calls = []
+        real = mp.binomial
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(mp, "binomial", counted)
+        esr_os_exact(self.CFG)
+        esr_os_highsnr(self.CFG)
+        assert calls == []
+
+    @pytest.mark.parametrize("route", ["exact", "high_snr"])
+    def test_retry_matches_direct_run_at_final_precision(self, route):
+        terms = _os_exact_terms if route == "exact" else lambda c: _os_highsnr_terms(c, False)
+        cfg = SystemConfig(2, 2, 3, 3, 64.0, 1.0)
+        seen = []
+
+        def evaluator():
+            seen.append(mp.mp.dps)
+            return terms(cfg)
+
+        # 15 digits leave too little headroom here, so one retry follows.
+        value, n_terms, peak = _with_retry(evaluator, 15)
+        assert len(seen) == 2
+        env = dict(os.environ)
+        src = str(Path(esrsel.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", _DIRECT_RUN, route, str(seen[-1])],
+            capture_output=True, text=True, timeout=120, env=env, check=True,
+        )
+        assert proc.stdout.split() == [value.hex(), str(n_terms), peak.hex()]
+
+    @pytest.mark.parametrize(
+        "fn,oracle",
+        [(esr_os_exact, quadrature_esr), (esr_os_highsnr, _quadrature_esr_ratio_form)],
+        ids=["exact", "high_snr"],
+    )
+    def test_no_value_carries_across_lambdas(self, fn, oracle):
+        other = SystemConfig(2, 2, 3, 3, 10.0, 1.0)
+        first = fn(self.CFG)
+        between = fn(other)
+        again = fn(self.CFG)
+        assert _bits(again) == _bits(first)
+        want = oracle(other, "OS").value
+        assert abs(between.value - want) <= max(1e-6 * abs(want), 1e-8)

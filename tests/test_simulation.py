@@ -12,6 +12,7 @@ from esrsel.esr_engine import esr_os_exact
 from esrsel.simulation import (
     ChannelRealization,
     ToeplitzCorrelation,
+    _substream,
     draw_channels,
     estimate_esr,
     paired_esr_difference,
@@ -152,6 +153,14 @@ class TestEstimateEsr:
         assert a.mean == b.mean
         assert a.stderr == b.stderr
         assert (a.trials, a.seed) == (5000, 123)
+
+    def test_substreams_of_neighbouring_seeds_differ(self):
+        # A key of seed XOR chunk would give seed s at chunk 1 the stream of
+        # seed s^1 at chunk 0.
+        seed = 20240815
+        a = _substream(seed, 1).standard_normal(8)
+        b = _substream(seed ^ 1, 0).standard_normal(8)
+        assert not np.array_equal(a, b)
 
     def test_minimum_trials_enforced(self):
         with pytest.raises(DomainError):
