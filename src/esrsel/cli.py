@@ -12,10 +12,11 @@ from __future__ import annotations
 import argparse
 import csv
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .channel_model import CorrelationConfig, SystemConfig
 from .errors import SelectionModelError
@@ -335,28 +336,24 @@ def _sweep_values(
 
 
 def _apply_var(row: RowSpec, var: str, value: float) -> RowSpec:
-    field = {
-        "lambda_d_db": "lambda_d_db",
-        "lambda_e_db": "lambda_e_db",
-        "m_d": "m_d",
-        "m_e": "m_e",
-        "k": "k",
-        "l": "l",
-        "rho_s": "rho_s",
-        "rho_d": "rho_d",
-        "rho_e": "rho_e",
-    }[var]
-    if var in _INT_VARS:
-        return replace(row, **{field: int(round(value))})
-    return replace(row, **{field: float(value)})
+    return replace(row, **{var: int(round(value)) if var in _INT_VARS else float(value)})
+
+
+def _pool_map(fn: Callable, items: Sequence, jobs: int) -> list:
+    """``[fn(x) for x in items]``, in worker processes when ``jobs`` > 1.
+
+    The pool never has more workers than CPUs or items: under the ``fork``
+    start method a pool starts all of its workers at once.
+    """
+    workers = min(jobs, os.cpu_count() or 1, len(items))
+    if workers <= 1:
+        return [fn(x) for x in items]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
 
 
 def _emit(rows: Sequence[RowSpec], out: Optional[str], jobs: int) -> int:
-    if jobs > 1 and len(rows) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rendered = list(pool.map(compute_row, rows))
-    else:
-        rendered = [compute_row(r) for r in rows]
+    rendered = _pool_map(compute_row, rows, jobs)
     fh = open(out, "w", newline="", encoding="utf-8") if out else sys.stdout
     try:
         writer = csv.writer(fh, lineterminator="\n")
@@ -498,11 +495,7 @@ def _cmd_validate(args, parser) -> int:
         for le in le_vals
         for scheme in ("os", "ss")
     ]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_validate_one, tasks))
-    else:
-        results = [_validate_one(t) for t in tasks]
+    results = _pool_map(_validate_one, tasks, args.jobs)
     failures = 0
     for line, ok in results:
         print(line)

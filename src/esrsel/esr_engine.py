@@ -13,10 +13,12 @@ every weight factor depends only on per-member index sums, so the collapsed
 sum equals the enumerated one term by term (Vandermonde identities), at
 polynomial instead of exponential cost.
 
-There is one exact assembly and one ratio-form assembly (shared by the
-high-SNR and asymptotic routes), both for optimal selection (OS).  SS(K, L)
-is evaluated as OS(1, K·L), and L = 1 is the general case with one pole
-group.
+There is one assembly, ``_terms``, for optimal selection (OS).  The exact,
+high-SNR and asymptotic routes share its tables, compositions and weights
+and differ only in the kernel they call per pole set: the ratio form is the
+exact form at β = 0, whose atoms lie on the diagonal of the exact ones.
+SS(K, L) is evaluated as OS(1, K·L), and L = 1 is the general case with one
+pole group.
 
 All assembly runs in mpmath at an adaptively chosen precision — the signed
 sums cancel catastrophically in float64 for the larger configurations.  The
@@ -60,8 +62,8 @@ __all__ = [
     "DEFAULT_BUDGET",
 ]
 
-# Largest work estimate (``_os_exact_work``, ``_os_highsnr_work``) that a
-# closed-form evaluation may start with.
+# Largest work estimate (``_work``) that a closed-form evaluation may start
+# with.
 DEFAULT_BUDGET = 10**8
 _LN10 = math.log(10.0)
 
@@ -133,7 +135,7 @@ def _conv1(a: Dict[int, mp.mpf], b: Dict[int, mp.mpf]) -> Dict[int, mp.mpf]:
     for i, va in sorted(a.items()):
         for j, vb in sorted(b.items()):
             key = i + j
-            out[key] = out.get(key, mp.mpf(0)) + va * vb
+            out[key] = out.get(key, 0) + va * vb
     return out
 
 
@@ -144,15 +146,7 @@ def _conv2(
     for (i1, j1), va in sorted(a.items()):
         for (i2, j2), vb in sorted(b.items()):
             key = (i1 + i2, j1 + j2)
-            out[key] = out.get(key, mp.mpf(0)) + va * vb
-    return out
-
-
-def _conv1_frac(a: Dict[int, Fraction], b: Dict[int, Fraction]) -> Dict[int, Fraction]:
-    out: Dict[int, Fraction] = {}
-    for i, va in sorted(a.items()):
-        for j, vb in sorted(b.items()):
-            out[i + j] = out.get(i + j, Fraction(0)) + va * vb
+            out[key] = out.get(key, 0) + va * vb
     return out
 
 
@@ -179,10 +173,19 @@ def _w1_table(M_D: int, lam_D: mp.mpf) -> Dict[Tuple[int, int], mp.mpf]:
     return out
 
 
-def _v_tables_exact(cfg: SystemConfig, lam_D: mp.mpf, lam_E: mp.mpf):
-    """Member tables V_l keyed (n̂, d̂) for subset sizes l = 1..L."""
+def _v_tables(cfg: SystemConfig, exact: bool, lam_D: mp.mpf, lam_E: mp.mpf):
+    """Member tables V_l keyed (n̂, d̂) for subset sizes l = 1..L.
+
+    The ratio form is the exact form at β = 0: its argument x·y is
+    x(1+y) − 1 without the x − 1 part, so its atoms y^m x^m / m! sit on the
+    diagonal n̂ = d̂.  The x − 1 part is also what gives e^{-βx} and the
+    e^{l/λ_D} factor, so both drop out.
+    """
     L, M_E = cfg.L, cfg.M_E
-    w1 = _w1_table(cfg.M_D, lam_D)
+    if exact:
+        w1 = _w1_table(cfg.M_D, lam_D)
+    else:
+        w1 = {(m, m): mp.mpf(1) / math.factorial(m) for m in range(cfg.M_D)}
     lamd_me = mp.power(lam_D, M_E)
     lame_me = mp.power(lam_E, M_E)
     out: Dict[int, Dict[Tuple[int, int], mp.mpf]] = {}
@@ -190,41 +193,14 @@ def _v_tables_exact(cfg: SystemConfig, lam_D: mp.mpf, lam_E: mp.mpf):
     for l in range(1, L + 1):
         wl = w1 if wl is None else _conv2(wl, w1)
         sign_binom = (-1) ** (l + 1) * math.comb(L, l)
-        e_l = mp.exp(mp.mpf(l) / lam_D)
+        e_l = mp.exp(mp.mpf(l) / lam_D) if exact else None
         tab: Dict[Tuple[int, int], mp.mpf] = {}
         for (n, d), v in sorted(wl.items()):
-            s = (
-                sign_binom
-                * lamd_me
-                * _poch(M_E, n)
-                * e_l
-                / (lame_me * mp.power(mp.mpf(l), M_E + n))
-            )
+            s = sign_binom * lamd_me * _poch(M_E, n)
+            if exact:
+                s *= e_l
+            s /= lame_me * mp.power(mp.mpf(l), M_E + n)
             tab[(n, d)] = s * v
-        out[l] = tab
-    return out
-
-
-def _v_tables_highsnr(cfg: SystemConfig, lam_D: mp.mpf, lam_E: mp.mpf):
-    """High-SNR member tables V_l keyed by m̂ only (ratio-form kernels)."""
-    L, M_E = cfg.L, cfg.M_E
-    w1 = {m: mp.mpf(1) / math.factorial(m) for m in range(cfg.M_D)}
-    lamd_me = mp.power(lam_D, M_E)
-    lame_me = mp.power(lam_E, M_E)
-    out: Dict[int, Dict[int, mp.mpf]] = {}
-    wl = None
-    for l in range(1, L + 1):
-        wl = w1 if wl is None else _conv1(wl, w1)
-        sign_binom = (-1) ** (l + 1) * math.comb(L, l)
-        tab: Dict[int, mp.mpf] = {}
-        for m, v in sorted(wl.items()):
-            tab[m] = (
-                sign_binom
-                * lamd_me
-                * _poch(M_E, m)
-                / (lame_me * mp.power(mp.mpf(l), M_E + m))
-                * v
-            )
         out[l] = tab
     return out
 
@@ -265,15 +241,6 @@ def _with_retry(
     raise CancellationError(peak, ln_total)
 
 
-def _cfg_extra_digits(cfg: SystemConfig) -> float:
-    """Config-level additions to the kernel precision estimate: weight-table
-    growth for λ_D < 1 and the e^{l̃/λ_D} prefactors."""
-    extra = (cfg.K * cfg.L) / cfg.lambda_D / _LN10
-    if cfg.lambda_D < 1.0:
-        extra += cfg.K * cfg.L * (cfg.M_D - 1) * (-math.log10(cfg.lambda_D))
-    return extra
-
-
 def _pole_groups(K: int, L: int) -> Iterator[Tuple[int, int, List[Tuple[int, int]]]]:
     """Walk the OS sum's compositions.
 
@@ -289,33 +256,120 @@ def _pole_groups(K: int, L: int) -> Iterator[Tuple[int, int, List[Tuple[int, int
             yield k, outer * _multinomial(k, comp), active
 
 
-def _max_poles(
-    cfg: SystemConfig, active: List[Tuple[int, int]]
-) -> Tuple[List[Tuple[float, int]], int]:
-    """Float pole locations with their largest multiplicities, and the
-    largest kernel power ν, for one composition."""
+def _dps(cfg: SystemConfig, exact: bool) -> int:
+    """Starting working precision: the worst kernel estimate over every
+    composition, from float poles at their largest multiplicities."""
     M_D, M_E = cfg.M_D, cfg.M_E
-    poles = [
-        (cfg.lambda_D / (l * cfg.lambda_E), c * (M_E + l * (M_D - 1)))
-        for l, c in active
-    ]
-    return poles, sum(c * l * (M_D - 1) for l, c in active)
-
-
-def _dps_os_exact(cfg: SystemConfig) -> int:
     worst = 25.0
     for k, _, active in _pole_groups(cfg.K, cfg.L):
-        beta = sum(range(1, cfg.L + 1)) * k / cfg.lambda_D  # upper bound on l̃/λ_D
-        poles, nu_max = _max_poles(cfg, active)
-        zs = [beta * (1 + c) for c, _ in poles]
+        poles = [
+            (cfg.lambda_D / (l * cfg.lambda_E), c * (M_E + l * (M_D - 1)))
+            for l, c in active
+        ]
+        nu_max = sum(c * l * (M_D - 1) for l, c in active)
+        zs: List[float] = []
+        if exact:
+            beta = sum(range(1, cfg.L + 1)) * k / cfg.lambda_D  # upper bound on l̃/λ_D
+            zs = [beta * (1 + c) for c, _ in poles]
         worst = max(worst, required_dps(poles, zs=zs, nu_max=nu_max, cap=10**9))
-    return int(math.ceil(worst + _cfg_extra_digits(cfg)))
+    if not exact:
+        return int(math.ceil(worst))
+    # Weight-table growth for λ_D < 1 and the e^{l̃/λ_D} prefactors.
+    extra = (cfg.K * cfg.L) / cfg.lambda_D / _LN10
+    if cfg.lambda_D < 1.0:
+        extra += cfg.K * cfg.L * (M_D - 1) * (-math.log10(cfg.lambda_D))
+    return int(math.ceil(worst + extra))
 
 
-def _os_exact_terms(cfg: SystemConfig) -> Tuple[mp.mpf, int, float]:
+def _work(cfg: SystemConfig, exact: bool) -> int:
+    """Kernel-term count the budget guard compares against its budget."""
+    work = 0
+    for _, _, active in _pole_groups(cfg.K, cfg.L):
+        n_count = 1
+        for l, c in active:
+            n_count *= c * l * (cfg.M_D - 1) + 1
+        if exact:
+            n_count *= sum(c * l * (cfg.M_D - 1) for l, c in active) + 1
+        work += n_count
+    return work
+
+
+# A pole set's kernel: ν ↦ (J value, log of its largest summand).
+Kernel = Callable[[int], Tuple[mp.mpf, float]]
+
+
+def _exact_kernels(
+    active: List[Tuple[int, int]], chis: List[mp.mpf], lam_D: mp.mpf, powers: Powers
+) -> Callable[[List[Tuple[mp.mpf, int]]], Kernel]:
+    """Exact kernels of one composition.
+
+    Its pole sets share β = l̃/λ_D, the incomplete-gamma tables and the
+    single-pole integrals φ; several poles recombine φ through their
+    partial-fraction coefficients.
+    """
+    beta = sum(l * c for l, c in active) / lam_D
+    # Keyed by the argument z = β(1+χ), as j0_exact_mp looks tables up.
+    zs = [beta * (1 + c) for c in chis]
+    tables = {z: _GammaTable(z) for z in zs}
+    phi_cache: Dict[Tuple[int, int, int], Tuple[mp.mpf, float]] = {}
+
+    def phi(g: int, t: int, nu: int) -> Tuple[mp.mpf, float]:
+        key = (g, t, nu)
+        if key not in phi_cache:
+            phi_cache[key] = single_pole_integral_mp(
+                nu, t, beta, chis[g], tables[zs[g]], powers
+            )
+        return phi_cache[key]
+
+    def at(poles: List[Tuple[mp.mpf, int]]) -> Kernel:
+        bs = pf_coefficients(0, False, poles, powers)[1] if len(poles) > 1 else None
+
+        def kernel(nu: int) -> Tuple[mp.mpf, float]:
+            if nu == 0:
+                return j0_exact_mp(poles, beta, tables, powers)
+            if bs is None:
+                return phi(0, poles[0][1], nu)
+            j_val = mp.mpf(0)
+            j_peak = -math.inf
+            for g, (_, t_g) in enumerate(poles):
+                for t in range(1, t_g + 1):
+                    b = bs[g][t - 1]
+                    if b == 0:
+                        continue
+                    pv, pp = phi(g, t, nu)
+                    j_val += b * pv
+                    j_peak = max(j_peak, _mag_ln(b) + pp)
+            return j_val, j_peak
+
+        return kernel
+
+    return at
+
+
+def _ratio_kernels(
+    asymptotic: bool, powers: Powers
+) -> Callable[[List[Tuple[mp.mpf, int]]], Kernel]:
+    """Ratio-form (β = 0) kernels, with the λ_D → ∞ substitutions when
+    ``asymptotic``."""
+
+    def at(poles: List[Tuple[mp.mpf, int]]) -> Kernel:
+        def kernel(nu: int) -> Tuple[mp.mpf, float]:
+            if nu == 0:
+                return j0_highsnr_mp(poles, asymptotic, powers)
+            return j1_highsnr_mp(poles, nu, asymptotic, powers)
+
+        return kernel
+
+    return at
+
+
+def _terms(cfg: SystemConfig, form: str) -> Tuple[mp.mpf, int, float]:
+    """The OS sum for ``form`` ∈ {"exact", "high_snr", "asymptotic"}:
+    (total, term count, log of the largest summand)."""
+    exact = form == "exact"
     M_E = cfg.M_E
     lam_D, lam_E = mp.mpf(cfg.lambda_D), mp.mpf(cfg.lambda_E)
-    v_tabs = _v_tables_exact(cfg, lam_D, lam_E)
+    v_tabs = _v_tables(cfg, exact, lam_D, lam_E)
     u_cache: Dict[Tuple[int, int], Dict[Tuple[int, int], mp.mpf]] = {}
 
     def u_rows(l: int, c: int) -> Dict[int, Dict[int, mp.mpf]]:
@@ -330,55 +384,27 @@ def _os_exact_terms(cfg: SystemConfig) -> Tuple[mp.mpf, int, float]:
     n_terms = 0
     peak = -math.inf
     for _, weight0, active in _pole_groups(cfg.K, cfg.L):
-        l_tilde = sum(l * c for l, c in active)
-        beta = l_tilde / lam_D
         log_w0 = math.log(abs(weight0))
         chis = [lam_D / (l * lam_E) for l, _ in active]
-        # Keyed by the argument z = β(1+χ), as j0_exact_mp looks tables up.
-        zs = [beta * (1 + c) for c in chis]
-        tables = {z: _GammaTable(z) for z in zs}
         # Reused within this composition only; see "Kernel reuse" in README.
         powers: Powers = {}
-        phi_cache: Dict[Tuple[int, int, int], Tuple[mp.mpf, float]] = {}
-
-        def phi(g: int, t: int, nu: int) -> Tuple[mp.mpf, float]:
-            key = (g, t, nu)
-            if key not in phi_cache:
-                phi_cache[key] = single_pole_integral_mp(
-                    nu, t, beta, chis[g], tables[zs[g]], powers
-                )
-            return phi_cache[key]
-
+        if exact:
+            kernels = _exact_kernels(active, chis, lam_D, powers)
+        else:
+            kernels = _ratio_kernels(form == "asymptotic", powers)
         rows_per_group = [u_rows(l, c) for l, c in active]
         for n_vec in product(*[sorted(r) for r in rows_per_group]):
             g_table = rows_per_group[0][n_vec[0]]
             for g in range(1, len(active)):
                 g_table = _conv1(g_table, rows_per_group[g][n_vec[g]])
-            poles = [
-                (chis[g], c * M_E + n_vec[g]) for g, (_, c) in enumerate(active)
-            ]
-            bs = None
-            if len(poles) > 1:
-                _, bs = pf_coefficients(0, False, poles, powers)
+            kernel = kernels(
+                [(chis[g], c * M_E + n_vec[g]) for g, (_, c) in enumerate(active)]
+            )
             for nu in sorted(g_table):
                 gv = g_table[nu]
                 if gv == 0:
                     continue
-                if nu == 0:
-                    j_val, j_peak = j0_exact_mp(poles, beta, tables, powers)
-                elif bs is None:
-                    j_val, j_peak = phi(0, poles[0][1], nu)
-                else:
-                    j_val = mp.mpf(0)
-                    j_peak = -math.inf
-                    for g, (_, t_g) in enumerate(poles):
-                        for t in range(1, t_g + 1):
-                            b = bs[g][t - 1]
-                            if b == 0:
-                                continue
-                            pv, pp = phi(g, t, nu)
-                            j_val += b * pv
-                            j_peak = max(j_peak, _mag_ln(b) + pp)
+                j_val, j_peak = kernel(nu)
                 total += weight0 * gv * j_val
                 n_terms += 1
                 peak = max(peak, log_w0 + _mag_ln(gv) + j_peak)
@@ -386,84 +412,8 @@ def _os_exact_terms(cfg: SystemConfig) -> Tuple[mp.mpf, int, float]:
     return total / ln2, n_terms, peak - float(mp.log(ln2))
 
 
-def _os_exact_work(cfg: SystemConfig) -> int:
-    work = 0
-    for _, _, active in _pole_groups(cfg.K, cfg.L):
-        n_count = 1
-        for l, c in active:
-            n_count *= c * l * (cfg.M_D - 1) + 1
-        work += n_count * (sum(c * l * (cfg.M_D - 1) for l, c in active) + 1)
-    return work
-
-
-def _os_highsnr_terms(cfg: SystemConfig, asymptotic: bool) -> Tuple[mp.mpf, int, float]:
-    M_E = cfg.M_E
-    lam_D, lam_E = mp.mpf(cfg.lambda_D), mp.mpf(cfg.lambda_E)
-    v_tabs = _v_tables_highsnr(cfg, lam_D, lam_E)
-    u_cache: Dict[Tuple[int, int], Dict[int, mp.mpf]] = {}
-
-    def u_tab(l: int, c: int) -> Dict[int, mp.mpf]:
-        key = (l, c)
-        if key not in u_cache:
-            u_cache[key] = (
-                v_tabs[l] if c == 1 else _conv1(u_cache[(l, c - 1)], v_tabs[l])
-            )
-        return u_cache[key]
-
-    total = mp.mpf(0)
-    n_terms = 0
-    peak = -math.inf
-    for _, weight0, active in _pole_groups(cfg.K, cfg.L):
-        log_w0 = math.log(abs(weight0))
-        chis = [lam_D / (l * lam_E) for l, _ in active]
-        tabs = [u_tab(l, c) for l, c in active]
-        powers: Powers = {}  # reused within this composition only
-        for m_vec in product(*[sorted(t) for t in tabs]):
-            gv = mp.mpf(1)
-            for g, m in enumerate(m_vec):
-                gv *= tabs[g][m]
-            nu = sum(m_vec)
-            poles = [
-                (chis[g], c * M_E + m_vec[g]) for g, (_, c) in enumerate(active)
-            ]
-            if nu == 0:
-                j_val, j_peak = j0_highsnr_mp(poles, asymptotic, powers)
-            else:
-                j_val, j_peak = j1_highsnr_mp(poles, nu, asymptotic, powers)
-            total += weight0 * gv * j_val
-            n_terms += 1
-            peak = max(peak, log_w0 + _mag_ln(gv) + j_peak)
-    ln2 = mp.log(2)
-    return total / ln2, n_terms, peak - float(mp.log(ln2))
-
-
-def _os_highsnr_work(cfg: SystemConfig) -> int:
-    work = 0
-    for _, _, active in _pole_groups(cfg.K, cfg.L):
-        m_count = 1
-        for l, c in active:
-            m_count *= c * l * (cfg.M_D - 1) + 1
-        work += m_count
-    return work
-
-
-def _dps_os_highsnr(cfg: SystemConfig) -> int:
-    # Compositions with k < K are dominated by k = K ones (same poles, lower
-    # multiplicities), so walking every k gives the same maximum.
-    worst = 25.0
-    for _, _, active in _pole_groups(cfg.K, cfg.L):
-        poles, nu_max = _max_poles(cfg, active)
-        worst = max(worst, required_dps(poles, nu_max=nu_max, cap=10**9))
-    return int(math.ceil(worst))
-
-
 # ---------------------------------------------------------------------------
 # public evaluation surface
-
-
-def _budget_check(cfg: SystemConfig, work: int, budget: int) -> None:
-    if work > budget:
-        raise ComplexityBudgetError(cfg.K, cfg.L, cfg.M_D, work, budget)
 
 
 def _as_single_transmitter(cfg: SystemConfig) -> SystemConfig:
@@ -477,46 +427,41 @@ def _as_single_transmitter(cfg: SystemConfig) -> SystemConfig:
     return replace(cfg, K=1, L=cfg.K * cfg.L)
 
 
-def _exact(cfg: SystemConfig, budget: int) -> Tuple[float, int, float]:
-    _budget_check(cfg, _os_exact_work(cfg), budget)
-    return _with_retry(lambda: _os_exact_terms(cfg), _dps_os_exact(cfg))
-
-
-def _ratio_form(cfg: SystemConfig, asymptotic: bool, budget: int) -> Tuple[float, int, float]:
-    _budget_check(cfg, _os_highsnr_work(cfg), budget)
-    return _with_retry(lambda: _os_highsnr_terms(cfg, asymptotic), _dps_os_highsnr(cfg))
+def _evaluate(cfg: SystemConfig, scheme: str, form: str, budget: int) -> EsrResult:
+    """One closed-form ESR, with SS evaluated as OS(1, K·L)."""
+    os_cfg = cfg if scheme == "OS" else _as_single_transmitter(cfg)
+    exact = form == "exact"
+    work = _work(os_cfg, exact)
+    if work > budget:
+        raise ComplexityBudgetError(os_cfg.K, os_cfg.L, os_cfg.M_D, work, budget)
+    value, n_terms, peak = _with_retry(lambda: _terms(os_cfg, form), _dps(os_cfg, exact))
+    below_zero = not exact and value < 0
+    return EsrResult(value, scheme, form, n_terms, peak, below_zero=below_zero)
 
 
 def esr_os_exact(cfg: SystemConfig, budget: int = DEFAULT_BUDGET) -> EsrResult:
     """Exact ESR under ratio-optimal pair selection (general K, L)."""
-    value, n_terms, peak = _exact(cfg, budget)
-    return EsrResult(value, "OS", "exact", n_terms, peak)
+    return _evaluate(cfg, "OS", "exact", budget)
 
 
 def esr_ss_exact(cfg: SystemConfig, budget: int = DEFAULT_BUDGET) -> EsrResult:
     """Exact ESR under destination-SNR-only pair selection, as OS(1, K·L)."""
-    value, n_terms, peak = _exact(_as_single_transmitter(cfg), budget)
-    return EsrResult(value, "SS", "exact", n_terms, peak)
+    return _evaluate(cfg, "SS", "exact", budget)
 
 
 def esr_os_highsnr(cfg: SystemConfig, budget: int = DEFAULT_BUDGET) -> EsrResult:
     """High-SNR OS ESR (ratio-form kernels; upper bound on the exact ESR)."""
-    value, n_terms, peak = _ratio_form(cfg, False, budget)
-    return EsrResult(value, "OS", "high_snr", n_terms, peak, below_zero=value < 0)
+    return _evaluate(cfg, "OS", "high_snr", budget)
 
 
 def esr_ss_highsnr(cfg: SystemConfig, budget: int = DEFAULT_BUDGET) -> EsrResult:
     """High-SNR SS ESR, as OS(1, K·L) (upper bound on the exact ESR)."""
-    value, n_terms, peak = _ratio_form(_as_single_transmitter(cfg), False, budget)
-    return EsrResult(value, "SS", "high_snr", n_terms, peak, below_zero=value < 0)
+    return _evaluate(cfg, "SS", "high_snr", budget)
 
 
 def esr_asymptotic(cfg: SystemConfig, scheme: str, budget: int = DEFAULT_BUDGET) -> EsrResult:
     """λ_D → ∞ asymptotic ESR value at the given configuration."""
-    s = _norm_scheme(scheme)
-    os_cfg = cfg if s == "OS" else _as_single_transmitter(cfg)
-    value, n_terms, peak = _ratio_form(os_cfg, True, budget)
-    return EsrResult(value, s, "asymptotic", n_terms, peak, below_zero=value < 0)
+    return _evaluate(cfg, _norm_scheme(scheme), "asymptotic", budget)
 
 
 # ---------------------------------------------------------------------------
@@ -550,7 +495,7 @@ def asymptote_line(cfg: SystemConfig, scheme: str) -> AsymptoticLine:
         acc = Fraction(0)
         w_tab = None
         for k in range(1, K + 1):
-            w_tab = base if w_tab is None else _conv1_frac(w_tab, base)
+            w_tab = base if w_tab is None else _conv1(w_tab, base)
             i1 = sum(
                 (w_tab[m] * _beta_frac(k * M_E, m) for m in sorted(w_tab) if m >= 1),
                 Fraction(0),
@@ -566,7 +511,7 @@ def asymptote_line(cfg: SystemConfig, scheme: str) -> AsymptoticLine:
     w_tab = None
     h_me = _harmonic_frac(M_E - 1)
     for k in range(1, KL + 1):
-        w_tab = base if w_tab is None else _conv1_frac(w_tab, base)
+        w_tab = base if w_tab is None else _conv1(w_tab, base)
         i1 = sum(
             (
                 w_tab[m] * Fraction(math.factorial(m - 1), k**m)

@@ -213,7 +213,7 @@ def _single_pole_origin_coeffs(
 
 
 def _mag_ln(x: mp.mpf) -> float:
-    if x == 0:
+    if not x:
         return -math.inf
     return float(mp.mag(x)) * _LN2
 

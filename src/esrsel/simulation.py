@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 from scipy import special as sp
@@ -28,7 +28,7 @@ from scipy.integrate import quad
 
 from .channel_model import CorrelationConfig, SystemConfig
 from .errors import DomainError, OracleFailureError
-from .esr_engine import EsrResult
+from .esr_engine import EsrResult, _norm_scheme
 
 __all__ = [
     "ChannelRealization",
@@ -123,6 +123,19 @@ def _draw_white(
     return w_d * math.sqrt(0.5), w_e * math.sqrt(0.5)
 
 
+def _colour(
+    cfg: SystemConfig,
+    factors: Tuple[Optional[np.ndarray], Optional[np.ndarray]],
+    w_d: np.ndarray,
+    w_e: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Map white tensors to channel taps (h_D, h_E), column i·K + k."""
+    b_d, b_e = factors
+    if b_d is None:
+        return w_d * math.sqrt(cfg.lambda_D), w_e * math.sqrt(cfg.lambda_E)
+    return w_d @ b_d, w_e @ b_e
+
+
 def _snrs_from_white(
     cfg: SystemConfig,
     factors: Tuple[Optional[np.ndarray], Optional[np.ndarray]],
@@ -130,14 +143,8 @@ def _snrs_from_white(
     w_e: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Map white tensors to (γ_D[n, k, l], γ_E[n, k])."""
-    b_d, b_e = factors
+    h_d, h_e = _colour(cfg, factors, w_d, w_e)
     n = w_d.shape[0]
-    if b_d is None:
-        h_d = w_d * math.sqrt(cfg.lambda_D)
-        h_e = w_e * math.sqrt(cfg.lambda_E)
-    else:
-        h_d = w_d @ b_d
-        h_e = w_e @ b_e
     gd = (
         (h_d.real**2 + h_d.imag**2)
         .reshape(n, cfg.L, cfg.M_D, cfg.K)
@@ -152,13 +159,7 @@ def draw_channels(cfg: SystemConfig, corr: CorrelationConfig, rng_state) -> Chan
     """One channel realization; ``rng_state`` is a seed or numpy Generator."""
     gen = _as_generator(rng_state)
     w_d, w_e = _draw_white(gen, cfg, 1)
-    b_d, b_e = _corr_factors(cfg, corr)
-    if b_d is None:
-        h_d = w_d * math.sqrt(cfg.lambda_D)
-        h_e = w_e * math.sqrt(cfg.lambda_E)
-    else:
-        h_d = w_d @ b_d
-        h_e = w_e @ b_e
+    h_d, h_e = _colour(cfg, _corr_factors(cfg, corr), w_d, w_e)
     h_d = h_d.reshape(cfg.L, cfg.M_D, cfg.K).transpose(0, 2, 1)
     h_e = h_e.reshape(cfg.M_E, cfg.K).T
     return ChannelRealization(h_D=h_d, h_E=h_e)
@@ -218,11 +219,31 @@ def _chunk_rates(gd: np.ndarray, ge: np.ndarray, scheme: str) -> np.ndarray:
 # Monte Carlo estimators
 
 
-def _normalize_scheme(scheme: str) -> str:
-    s = str(scheme).upper()
-    if s not in ("OS", "SS"):
-        raise DomainError(f"unknown scheme {scheme!r}; expected 'OS' or 'SS'")
-    return s
+def _mc_mean(
+    cfg: SystemConfig,
+    trials: int,
+    seed: int,
+    chunk_values: Callable[[np.ndarray, np.ndarray], np.ndarray],
+) -> McEstimate:
+    """Mean and standard error of ``chunk_values(w_d, w_e)``, the per-draw
+    values of each chunk of white channel tensors, over ``trials`` draws."""
+    if trials < 1000:
+        raise DomainError("need at least 1000 trials for a usable estimate")
+    total = 0.0
+    total_sq = 0.0
+    done = 0
+    chunk_index = 0
+    while done < trials:
+        n = min(CHUNK_SIZE, trials - done)
+        w_d, w_e = _draw_white(_substream(seed, chunk_index), cfg, n)
+        values = chunk_values(w_d, w_e)
+        total += float(values.sum())
+        total_sq += float((values * values).sum())
+        done += n
+        chunk_index += 1
+    mean = total / trials
+    var = max(0.0, (total_sq - trials * mean * mean) / (trials - 1))
+    return McEstimate(mean=mean, stderr=math.sqrt(var / trials), trials=trials, seed=seed)
 
 
 def estimate_esr(
@@ -233,27 +254,12 @@ def estimate_esr(
     seed: int,
 ) -> McEstimate:
     """ESR estimate: mean of [log2 Γ_S]^+ over ``trials`` channel draws."""
-    s = _normalize_scheme(scheme)
-    if trials < 1000:
-        raise DomainError("need at least 1000 trials for a usable estimate")
+    s = _norm_scheme(scheme)
     factors = _corr_factors(cfg, corr)
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    chunk_index = 0
-    while done < trials:
-        n = min(CHUNK_SIZE, trials - done)
-        gen = _substream(seed, chunk_index)
-        w_d, w_e = _draw_white(gen, cfg, n)
-        gd, ge = _snrs_from_white(cfg, factors, w_d, w_e)
-        rates = _chunk_rates(gd, ge, s)
-        total += float(rates.sum())
-        total_sq += float((rates * rates).sum())
-        done += n
-        chunk_index += 1
-    mean = total / trials
-    var = max(0.0, (total_sq - trials * mean * mean) / (trials - 1))
-    return McEstimate(mean=mean, stderr=math.sqrt(var / trials), trials=trials, seed=seed)
+    return _mc_mean(
+        cfg, trials, seed,
+        lambda w_d, w_e: _chunk_rates(*_snrs_from_white(cfg, factors, w_d, w_e), s),
+    )
 
 
 def paired_esr_difference(
@@ -270,51 +276,42 @@ def paired_esr_difference(
     correlation-induced gap resolves at far fewer trials than two
     independent estimates would need.
     """
-    s = _normalize_scheme(scheme)
-    if trials < 1000:
-        raise DomainError("need at least 1000 trials for a usable estimate")
+    s = _norm_scheme(scheme)
     factors_a = _corr_factors(cfg, corr_a)
     factors_b = _corr_factors(cfg, corr_b)
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    chunk_index = 0
-    while done < trials:
-        n = min(CHUNK_SIZE, trials - done)
-        gen = _substream(seed, chunk_index)
-        w_d, w_e = _draw_white(gen, cfg, n)
-        gd_a, ge_a = _snrs_from_white(cfg, factors_a, w_d, w_e)
-        gd_b, ge_b = _snrs_from_white(cfg, factors_b, w_d, w_e)
-        diff = _chunk_rates(gd_a, ge_a, s) - _chunk_rates(gd_b, ge_b, s)
-        total += float(diff.sum())
-        total_sq += float((diff * diff).sum())
-        done += n
-        chunk_index += 1
-    mean = total / trials
-    var = max(0.0, (total_sq - trials * mean * mean) / (trials - 1))
-    return McEstimate(mean=mean, stderr=math.sqrt(var / trials), trials=trials, seed=seed)
+
+    def diff(w_d: np.ndarray, w_e: np.ndarray) -> np.ndarray:
+        rates_a = _chunk_rates(*_snrs_from_white(cfg, factors_a, w_d, w_e), s)
+        return rates_a - _chunk_rates(*_snrs_from_white(cfg, factors_b, w_d, w_e), s)
+
+    return _mc_mean(cfg, trials, seed, diff)
 
 
 # ---------------------------------------------------------------------------
 # quadrature oracle
 
 
-def _quadrature_value(
+def _quadrature(
     cfg: SystemConfig,
-    k_eff: int,
-    l_eff: int,
+    scheme: str,
     ratio_form: bool,
     epsabs: float,
     epsrel: float,
-) -> Tuple[float, int, float]:
+) -> EsrResult:
     """(1/ln 2) ∫_1^∞ (1 - F(x))/x dx for F(x) = E_y[F_D(arg(x,y))^{l_eff}]^{k_eff},
     where arg = x(1+y)-1 exactly or x·y in ratio form.
+
+    OS has (k_eff, l_eff) = (K, L).  SS reduces to the single-transmitter
+    form with K·L destinations because the selected eavesdropper SNR is
+    independent of the destination maximum.
 
     The inner expectation integrates over u = arg at fixed x (the destination
     survival then varies on its own λ_D scale regardless of x), clipped where
     either the destination survival or the eavesdropper density tail drops
     below 1e-18 relative mass.
     """
+    scheme = _norm_scheme(scheme)
+    k_eff, l_eff = (cfg.K, cfg.L) if scheme == "OS" else (1, cfg.K * cfg.L)
     lam_d, lam_e = cfg.lambda_D, cfg.lambda_E
     m_d, m_e = cfg.M_D, cfg.M_E
     y_max = lam_e * float(sp.gammainccinv(m_e, 1e-18))
@@ -381,7 +378,7 @@ def _quadrature_value(
             f"outer quadrature failed to converge: value {val:.6e}, "
             f"error estimate {err:.3e}: {res[3]}"
         )
-    return val / math.log(2.0), evals, peak
+    return EsrResult(val / math.log(2.0), scheme, "quadrature", evals, peak)
 
 
 def quadrature_esr(
@@ -393,19 +390,8 @@ def quadrature_esr(
     """ESR by nested adaptive quadrature of the i.i.d.-model CDFs.
 
     Independent of the closed forms: no series expansion is used anywhere.
-    SS reduces to the single-transmitter form with K·L destinations because
-    the selected eavesdropper SNR is independent of the destination maximum.
     """
-    s = _normalize_scheme(scheme)
-    if s == "OS":
-        value, evals, peak = _quadrature_value(
-            cfg, cfg.K, cfg.L, False, epsabs, epsrel
-        )
-    else:
-        value, evals, peak = _quadrature_value(
-            cfg, 1, cfg.K * cfg.L, False, epsabs, epsrel
-        )
-    return EsrResult(value, s, "quadrature", evals, peak)
+    return _quadrature(cfg, scheme, False, epsabs, epsrel)
 
 
 def _quadrature_esr_ratio_form(
@@ -416,11 +402,4 @@ def _quadrature_esr_ratio_form(
 ) -> EsrResult:
     """Quadrature for the γ_D/γ_E ratio model (the high-SNR approximation's
     exact distribution); used to cross-check the high-SNR closed forms."""
-    s = _normalize_scheme(scheme)
-    if s == "OS":
-        value, evals, peak = _quadrature_value(cfg, cfg.K, cfg.L, True, epsabs, epsrel)
-    else:
-        value, evals, peak = _quadrature_value(
-            cfg, 1, cfg.K * cfg.L, True, epsabs, epsrel
-        )
-    return EsrResult(value, s, "quadrature", evals, peak)
+    return _quadrature(cfg, scheme, True, epsabs, epsrel)

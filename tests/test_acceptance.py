@@ -44,7 +44,11 @@ from esrsel.esr_engine import (
     esr_ss_highsnr,
 )
 from esrsel.simulation import (
+    _chunk_rates,
+    _corr_factors,
+    _mc_mean,
     _quadrature_esr_ratio_form,
+    _snrs_from_white,
     estimate_esr,
     paired_esr_difference,
     quadrature_esr,
@@ -449,9 +453,18 @@ def test_criterion_9_correlation_trends():
     assert runs["path OS"].mean < -5.0 * runs["path OS"].stderr, runs["path OS"]
     assert runs["eave OS"].mean < -5.0 * runs["eave OS"].stderr, runs["eave OS"]
     assert runs["tx SS"].mean > 5.0 * runs["tx SS"].stderr, runs["tx SS"]
-    # Transmitter correlation costs the ratio-optimal scheme more.
-    excess = runs["tx OS"].mean - runs["tx SS"].mean
-    noise = math.hypot(runs["tx OS"].stderr, runs["tx SS"].stderr)
+    # Transmitter correlation costs the ratio-optimal scheme more.  "tx OS"
+    # and "tx SS" select from the same draws, so their difference is
+    # estimated per draw: (iid OS − tx OS) − (iid SS − tx SS).
+    factors = [_corr_factors(cfg, c) for c in (iid, CorrelationConfig(rho_S=0.9))]
+
+    def penalty_excess(w_d, w_e):
+        snrs = [_snrs_from_white(cfg, f, w_d, w_e) for f in factors]
+        penalty = {s: _chunk_rates(*snrs[0], s) - _chunk_rates(*snrs[1], s) for s in SCHEMES}
+        return penalty["OS"] - penalty["SS"]
+
+    paired = _mc_mean(cfg, trials, 20240915, penalty_excess)
+    excess, noise = paired.mean, paired.stderr
     assert excess > 5.0 * noise, (excess, noise)
     print(
         "C9 correlation trends: "

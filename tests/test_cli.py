@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import esrsel
+from esrsel import cli
 from esrsel.cli import CSV_HEADER, figure_preset, main
 
 X1 = 2.1004124800191777  # quadrature value at (1,1,1,1,10,1)
@@ -251,6 +252,54 @@ class TestValidate:
         assert "fail=0" in lines[-1]
         assert all(l.startswith(("PASS", "FAIL", "SUMMARY")) for l in lines)
         assert sum(1 for l in lines if l.startswith("PASS")) >= 130
+
+
+class TestJobsCap:
+    """A pool never gets more workers than CPUs or rows.  The pool here is a
+    stand-in that records its size and maps in this process, so no worker
+    is ever started."""
+
+    SWEEP = ["sweep", "--var", "lambda_d_db", "--from", "0", "--to", "4",
+             "--step", "2", "--method", "highsnr"]  # 6 rows
+
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        return sizes
+
+    @pytest.mark.parametrize("cpus,want", [(1000, 6), (3, 3)])
+    def test_sweep_workers_capped(self, pool_sizes, monkeypatch, capsys, cpus, want):
+        _, serial, _ = run_cli(self.SWEEP + ["--jobs", "1"], capsys)
+        assert pool_sizes == []
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        code, out, _ = run_cli(self.SWEEP + ["--jobs", "100000"], capsys)
+        assert code == 0
+        assert pool_sizes == [want]
+        assert out == serial
+
+    @pytest.mark.parametrize("cpus,want", [(1000, 128), (2, 2)])
+    def test_validate_workers_capped(self, pool_sizes, monkeypatch, capsys, cpus, want):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(cli, "_validate_one", lambda task: ("PASS stub", True))
+        code, out, _ = run_cli(["validate", "--grid", "small", "--jobs", "100000"], capsys)
+        assert code == 0
+        assert pool_sizes == [want]
+        assert out.count("PASS stub") == 128
 
 
 class TestExitCodes:

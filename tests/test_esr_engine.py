@@ -7,6 +7,7 @@ directly from the enumerated index set, with none of the engine's grouped
 recombination, and pins the term bookkeeping end to end.
 """
 
+import itertools
 import math
 import os
 import subprocess
@@ -20,8 +21,7 @@ import esrsel
 from esrsel.channel_model import SystemConfig
 from esrsel.errors import CancellationError, ComplexityBudgetError, ContractError
 from esrsel.esr_engine import (
-    _os_exact_terms,
-    _os_highsnr_terms,
+    _terms,
     _with_retry,
     asymptote_line,
     esr_asymptotic,
@@ -293,6 +293,18 @@ class TestAsymptoteLine:
         assert abs(line.offset - math.log2(lam_e)) < 1e-12
         assert abs(fitted - line.offset) < 1e-4
 
+    @pytest.mark.parametrize("scheme,L", [("OS", 1), ("SS", 1), ("SS", 2)])
+    def test_pointwise_values_lie_on_the_line(self, scheme, L):
+        # esr_asymptotic runs the shared assembly with the asymptotic
+        # kernels; asymptote_line is exact rational arithmetic.
+        for k, m_d, m_e in itertools.product(range(1, 4), repeat=3):
+            for lam_d, lam_e in ((100.0, 1.0), (1e3, LAMBDA_9DB), (1e5, 100.0)):
+                cfg = SystemConfig(k, L, m_d, m_e, lam_d, lam_e)
+                line = asymptote_line(cfg, scheme)
+                want = line.slope * (math.log2(lam_d) - line.offset)
+                got = esr_asymptotic(cfg, scheme).value
+                assert rel_err(got, want) <= 1e-12, (cfg, got, want)
+
     def test_multi_destination_optimal_line_unsupported(self):
         with pytest.raises(ContractError):
             asymptote_line(SystemConfig(2, 2, 1, 1, 10.0, 1.0), "OS")
@@ -350,11 +362,10 @@ def _bits(r):
 _DIRECT_RUN = """
 import sys
 from esrsel.channel_model import SystemConfig
-from esrsel.esr_engine import _os_exact_terms, _os_highsnr_terms, _with_retry
+from esrsel.esr_engine import _terms, _with_retry
 route, dps = sys.argv[1], int(sys.argv[2])
-terms = _os_exact_terms if route == "exact" else lambda c: _os_highsnr_terms(c, False)
 cfg = SystemConfig(2, 2, 3, 3, 64.0, 1.0)
-value, n_terms, peak = _with_retry(lambda: terms(cfg), dps)
+value, n_terms, peak = _with_retry(lambda: _terms(cfg, route), dps)
 print(value.hex(), n_terms, peak.hex())
 """
 
@@ -380,13 +391,12 @@ class TestKernelReuse:
 
     @pytest.mark.parametrize("route", ["exact", "high_snr"])
     def test_retry_matches_direct_run_at_final_precision(self, route):
-        terms = _os_exact_terms if route == "exact" else lambda c: _os_highsnr_terms(c, False)
         cfg = SystemConfig(2, 2, 3, 3, 64.0, 1.0)
         seen = []
 
         def evaluator():
             seen.append(mp.mp.dps)
-            return terms(cfg)
+            return _terms(cfg, route)
 
         # 15 digits leave too little headroom here, so one retry follows.
         value, n_terms, peak = _with_retry(evaluator, 15)
