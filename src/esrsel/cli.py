@@ -46,6 +46,9 @@ _SWEEP_VARS = (
     "rho_e",
 )
 _INT_VARS = {"m_d", "m_e", "k", "l"}
+# Most values one ``sweep`` may take; each expands to one row per scheme and
+# method.
+MAX_SWEEP_POINTS = 10_000
 _METHODS = ("exact", "highsnr", "asymptotic", "quadrature", "mc")
 
 _DEFAULTS: Dict[str, object] = {
@@ -104,18 +107,6 @@ class RowSpec:
     rho_e: float
     trials: int
     seed: int
-
-
-@dataclass(frozen=True)
-class ExperimentSpec:
-    """A parsed experiment: base point, scheme/method selections, optional
-    sweep, and output destination."""
-
-    scheme: str
-    method: str
-    base: RowSpec
-    sweep: Optional[Tuple[str, float, float, float]]
-    out: Optional[str]
 
 
 def _db_to_linear(db: float) -> float:
@@ -185,6 +176,14 @@ def compute_row(row: RowSpec) -> List[str]:
 # argument plumbing
 
 
+def _jobs(text: str) -> int:
+    """A ``--jobs`` value: a positive worker count."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_point_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--scheme", choices=["os", "ss", "both"], default=None)
     p.add_argument(
@@ -222,8 +221,8 @@ def _add_point_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=None, help="CSV output path (default stdout)")
     p.add_argument("--config", default=None,
                    help="key=value file supplying defaults; flags override")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes for multi-row runs")
+    p.add_argument("--jobs", type=_jobs, default=1,
+                   help="worker processes for multi-row runs (at least 1)")
 
 
 def _read_config(path: str, parser: argparse.ArgumentParser) -> Dict[str, object]:
@@ -322,11 +321,16 @@ def _sweep_values(
 ) -> List[float]:
     if var not in _SWEEP_VARS:
         parser.error(f"--var must be one of {', '.join(_SWEEP_VARS)}")
+    if not all(math.isfinite(v) for v in (start, stop, step)):
+        parser.error("--from, --to and --step must be finite")
     if stop < start:
         parser.error("--from must not exceed --to")
     if step <= 0:
         parser.error("--step must be positive")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
+    span = (stop - start) / step  # may overflow to inf; no list is built before the cap
+    count = int(math.floor(span + 1e-9)) + 1 if span < MAX_SWEEP_POINTS else math.inf
+    if count > MAX_SWEEP_POINTS:
+        parser.error(f"a sweep takes at most {MAX_SWEEP_POINTS} values, this one {span + 1:.4g}")
     values = [start + i * step for i in range(count)]
     if var in _INT_VARS:
         for v in values:
@@ -543,7 +547,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     p_val = sub.add_parser("validate", help="closed forms vs quadrature vs mc")
     p_val.add_argument("--grid", choices=["small", "full"], default="small")
-    p_val.add_argument("--jobs", type=int, default=1)
+    p_val.add_argument("--jobs", type=_jobs, default=1)
 
     args = parser.parse_args(argv)
     active_parser = {

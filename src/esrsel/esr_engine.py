@@ -15,15 +15,18 @@ polynomial instead of exponential cost.
 
 There is one assembly, ``_terms``, for optimal selection (OS).  The exact,
 high-SNR and asymptotic routes share its tables, compositions and weights
-and differ only in the kernel they call per pole set: the ratio form is the
-exact form at β = 0, whose atoms lie on the diagonal of the exact ones.
-SS(K, L) is evaluated as OS(1, K·L), and L = 1 is the general case with one
-pole group.
+and differ only in the kernel that closes each composition: the ratio form
+is the exact form at β = 0, whose atoms lie on the diagonal of the exact
+ones.  Within a composition every term shares the poles χ_g, so its rows
+multiply into one numerator and one partial-fraction decomposition serves
+them all.  SS(K, L) is evaluated as OS(1, K·L), and L = 1 is the general
+case with one pole group.
 
 All assembly runs in mpmath at an adaptively chosen precision — the signed
 sums cancel catastrophically in float64 for the larger configurations.  The
-estimate is checked a posteriori against the recorded peak summand, and the
-evaluation reruns at higher precision when the headroom is too small.
+estimate is checked a posteriori against the peak, an envelope of every
+signed sum, and the evaluation reruns at higher precision when the headroom
+is too small.
 """
 
 from __future__ import annotations
@@ -31,24 +34,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import product
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import mpmath as mp
 
 from .channel_model import SystemConfig
 from .errors import CancellationError, ComplexityBudgetError, ContractError, DomainError
-from .partial_fractions import (
-    Powers,
-    _GammaTable,
-    _mag_ln,
-    j0_exact_mp,
-    j0_highsnr_mp,
-    j1_highsnr_mp,
-    pf_coefficients,
-    required_dps,
-    single_pole_integral_mp,
-)
+from .partial_fractions import j0_exact_mp, j0_highsnr_mp, required_dps
+
+# Not called here; imported only so that bench/tracer.py's BOUNDARIES resolve.
+from .partial_fractions import _GammaTable, j1_highsnr_mp, pf_coefficients, single_pole_integral_mp  # noqa: F401
 
 __all__ = [
     "EsrResult",
@@ -72,9 +67,9 @@ _LN10 = math.log(10.0)
 class EsrResult:
     """One ESR evaluation.
 
-    ``max_log_term`` is the natural log of the largest absolute summand that
-    entered the final sum — comparing it against log(value) measures how many
-    digits the signed summation cancelled.  ``stderr`` is populated only by
+    ``max_log_term`` is the natural log of a bound on the absolute values
+    summed on the way to the value — comparing it against log(value) bounds
+    how many digits the signed sums cancelled.  ``stderr`` is populated only by
     the Monte Carlo estimator.  ``below_zero`` marks high-SNR/asymptotic
     formula values that dip below zero at low SNR (the exact ESR cannot).
     """
@@ -282,7 +277,12 @@ def _dps(cfg: SystemConfig, exact: bool) -> int:
 
 
 def _work(cfg: SystemConfig, exact: bool) -> int:
-    """Kernel-term count the budget guard compares against its budget."""
+    """Size proxy the budget guard compares against its budget.
+
+    It counts the (pole set, ν) kernel terms of the per-pole-set assembly
+    that ``_terms`` replaced, which over-estimates the factorised cost, so
+    the guard refuses no less than it did.  Not yet calibrated to seconds.
+    """
     work = 0
     for _, _, active in _pole_groups(cfg.K, cfg.L):
         n_count = 1
@@ -294,121 +294,47 @@ def _work(cfg: SystemConfig, exact: bool) -> int:
     return work
 
 
-# A pole set's kernel: ν ↦ (J value, log of its largest summand).
-Kernel = Callable[[int], Tuple[mp.mpf, float]]
-
-
-def _exact_kernels(
-    active: List[Tuple[int, int]], chis: List[mp.mpf], lam_D: mp.mpf, powers: Powers
-) -> Callable[[List[Tuple[mp.mpf, int]]], Kernel]:
-    """Exact kernels of one composition.
-
-    Its pole sets share β = l̃/λ_D, the incomplete-gamma tables and the
-    single-pole integrals φ; several poles recombine φ through their
-    partial-fraction coefficients.
-    """
-    beta = sum(l * c for l, c in active) / lam_D
-    # Keyed by the argument z = β(1+χ), as j0_exact_mp looks tables up.
-    zs = [beta * (1 + c) for c in chis]
-    tables = {z: _GammaTable(z) for z in zs}
-    phi_cache: Dict[Tuple[int, int, int], Tuple[mp.mpf, float]] = {}
-
-    def phi(g: int, t: int, nu: int) -> Tuple[mp.mpf, float]:
-        key = (g, t, nu)
-        if key not in phi_cache:
-            phi_cache[key] = single_pole_integral_mp(
-                nu, t, beta, chis[g], tables[zs[g]], powers
-            )
-        return phi_cache[key]
-
-    def at(poles: List[Tuple[mp.mpf, int]]) -> Kernel:
-        bs = pf_coefficients(0, False, poles, powers)[1] if len(poles) > 1 else None
-
-        def kernel(nu: int) -> Tuple[mp.mpf, float]:
-            if nu == 0:
-                return j0_exact_mp(poles, beta, tables, powers)
-            if bs is None:
-                return phi(0, poles[0][1], nu)
-            j_val = mp.mpf(0)
-            j_peak = -math.inf
-            for g, (_, t_g) in enumerate(poles):
-                for t in range(1, t_g + 1):
-                    b = bs[g][t - 1]
-                    if b == 0:
-                        continue
-                    pv, pp = phi(g, t, nu)
-                    j_val += b * pv
-                    j_peak = max(j_peak, _mag_ln(b) + pp)
-            return j_val, j_peak
-
-        return kernel
-
-    return at
-
-
-def _ratio_kernels(
-    asymptotic: bool, powers: Powers
-) -> Callable[[List[Tuple[mp.mpf, int]]], Kernel]:
-    """Ratio-form (β = 0) kernels, with the λ_D → ∞ substitutions when
-    ``asymptotic``."""
-
-    def at(poles: List[Tuple[mp.mpf, int]]) -> Kernel:
-        def kernel(nu: int) -> Tuple[mp.mpf, float]:
-            if nu == 0:
-                return j0_highsnr_mp(poles, asymptotic, powers)
-            return j1_highsnr_mp(poles, nu, asymptotic, powers)
-
-        return kernel
-
-    return at
-
-
 def _terms(cfg: SystemConfig, form: str) -> Tuple[mp.mpf, int, float]:
     """The OS sum for ``form`` ∈ {"exact", "high_snr", "asymptotic"}:
-    (total, term count, log of the largest summand)."""
+    (total, partial-fraction coefficient count, log of the envelope of
+    every signed sum).
+
+    Within a composition the integrand factorises over its active groups,
+    x⁻¹ e^{-βx} Π_g Σ_n P_{g,n}(x) / (x+χ_g)^{c·M_E+n}, so one kernel call
+    decomposes and closes the whole product; see "Kernel reuse is per
+    composition" in README.
+    """
     exact = form == "exact"
     M_E = cfg.M_E
     lam_D, lam_E = mp.mpf(cfg.lambda_D), mp.mpf(cfg.lambda_E)
     v_tabs = _v_tables(cfg, exact, lam_D, lam_E)
     u_cache: Dict[Tuple[int, int], Dict[Tuple[int, int], mp.mpf]] = {}
 
-    def u_rows(l: int, c: int) -> Dict[int, Dict[int, mp.mpf]]:
+    def u_rows(l: int, c: int) -> List[Dict[int, mp.mpf]]:
         key = (l, c)
         if key not in u_cache:
             u_cache[key] = (
                 v_tabs[l] if c == 1 else _conv2(u_cache[(l, c - 1)], v_tabs[l])
             )
-        return _rows_by_first(u_cache[key])
+        rows = _rows_by_first(u_cache[key])
+        return [rows.get(n, {}) for n in range(max(rows) + 1)]
 
     total = mp.mpf(0)
     n_terms = 0
-    peak = -math.inf
+    peaks = []
     for _, weight0, active in _pole_groups(cfg.K, cfg.L):
-        log_w0 = math.log(abs(weight0))
-        chis = [lam_D / (l * lam_E) for l, _ in active]
-        # Reused within this composition only; see "Kernel reuse" in README.
-        powers: Powers = {}
+        rows = [u_rows(l, c) for l, c in active]
+        poles = [(lam_D / (l * lam_E), c * M_E + len(r) - 1) for (l, c), r in zip(active, rows)]
         if exact:
-            kernels = _exact_kernels(active, chis, lam_D, powers)
+            beta = sum(l * c for l, c in active) / lam_D
+            value, peak = j0_exact_mp(poles, beta, numerator=rows)
         else:
-            kernels = _ratio_kernels(form == "asymptotic", powers)
-        rows_per_group = [u_rows(l, c) for l, c in active]
-        for n_vec in product(*[sorted(r) for r in rows_per_group]):
-            g_table = rows_per_group[0][n_vec[0]]
-            for g in range(1, len(active)):
-                g_table = _conv1(g_table, rows_per_group[g][n_vec[g]])
-            kernel = kernels(
-                [(chis[g], c * M_E + n_vec[g]) for g, (_, c) in enumerate(active)]
-            )
-            for nu in sorted(g_table):
-                gv = g_table[nu]
-                if gv == 0:
-                    continue
-                j_val, j_peak = kernel(nu)
-                total += weight0 * gv * j_val
-                n_terms += 1
-                peak = max(peak, log_w0 + _mag_ln(gv) + j_peak)
+            value, peak = j0_highsnr_mp(poles, form == "asymptotic", rows)
+        total += weight0 * value
+        n_terms += 1 + sum(T for _, T in poles)
+        peaks.append(math.log(abs(weight0)) + peak)
     ln2 = mp.log(2)
+    peak = max(peaks) + math.log(len(peaks))
     return total / ln2, n_terms, peak - float(mp.log(ln2))
 
 

@@ -3,36 +3,43 @@
 Every ESR summand reduces to one of four integral families over [1, ∞):
 
     exact:      ∫ x^{ν-1} e^{-βx} / Π_g (x+c_g)^{T_g} dx      (ν ≥ 1: "J1")
-                ∫ e^{-βx} / (x · Π_g (x+c_g)^{T_g}) dx         (ν = 0: "J0")
+                ∫ e^{-βx} N(x) / (x · Π_g (x+c_g)^{T_g}) dx    ("J0")
     ratio form: the same with β = 0 (high-SNR), which integrates to
                 logs and rational terms, and its λ_D → ∞ asymptotic variant.
 
 The poles c_g = λ_D/(l λ_E) are distinct positive reals grouped by the
-integer l, with total multiplicity T_g per group.  Coefficients come from the
-analytic residue/log-derivative recursion (never a linear solve): for
-φ_g(x) = (x+c_g)^{T_g} R(x), the ratios r_n = φ_g^{(n)}/φ_g at -c_g obey
+integer l, with total multiplicity T_g per group.  The numerator N is a
+product of one factor per pole, each written over its own pole's powers
+(see ``pf_coefficients``), so one decomposition serves a whole product of
+per-group sums.  It needs no linear solve:
 
-    r_0 = 1,   r_n = Σ_{j<n} C(n-1, j) · g^{(n-j)}(-c_g) · r_j,
+- each factor is Taylor-shifted once into powers of y_g = x + c_g;
+- the coefficients at -c_g are the first T_g Taylor coefficients of the
+  cofactor y_g^{T_g}·N/(x^o D), a truncated product of series;
+- the origin coefficient is N(0)/D(0);
+- a polynomial part, present when N outgrows x^o D, comes from the
+  expansion at infinity (long division).
 
-with g = ln φ_g, whose derivatives are explicit power sums.  The closed forms
-then need Γ(a, z) at consecutive integer orders, filled by one E1 evaluation
-plus up/down recurrences.
+The closed forms then need Γ(a, z) at consecutive integer orders, filled by
+one E1 evaluation plus up/down recurrences.
 
-The alternating partial-fraction coefficients reach ~c^{-T}, so recombining
-them loses roughly Σ_g T_g·log10((1+c_g)/c_g) digits; the core therefore runs
-in mpmath at an adaptively estimated precision; callers round to float.
+These signed sums cancel, so the core runs in mpmath at an adaptively
+estimated precision; callers round to float.  Every coefficient carries an
+envelope: the log of a bound on the sum of the absolute values of the
+products it adds up (the largest one plus the log of their count).  A
+result's peak is that bound for its last sum, so it covers every signed sum
+on the way and bounds the digits they cancel.
 
 Binomial coefficients C(n, k) are exact Python integers (``math.comb``), not
 ``mp.binomial`` values: an int times an mpf rounds once, to the same result,
-at a fraction of the cost.  Every kernel takes an optional ``powers`` dict
-through which a caller shares ``mp.power`` results between kernel calls made
-at one working precision (see ``_power``).
+at a fraction of the cost.  Every other quantity lives only for one call, so
+nothing carries from one working precision to the next.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import mpmath as mp
 
@@ -50,9 +57,10 @@ __all__ = [
 _LN2 = math.log(2.0)
 _LN10 = math.log(10.0)
 
-# mp.power(x, n) results keyed (x, n), shared between kernel calls at one
-# working precision; see ``_power``.
-Powers = Dict[Tuple[mp.mpf, int], mp.mpf]
+# One numerator factor per pole: row n maps d to the coefficient of x^d in
+# P_n, and the factor of pole c is Σ_n P_n(x)·(x + c)^{n_top - n}.
+Factor = Sequence[Dict[int, mp.mpf]]
+Numerator = Union[None, int, Sequence[Factor]]
 
 # ---------------------------------------------------------------------------
 # mp core: incomplete-gamma tables
@@ -123,128 +131,220 @@ def required_dps(
 
 
 # ---------------------------------------------------------------------------
-# mp core: residue recursion
-
-
-def _power(x: mp.mpf, n: int, powers: Optional[Powers]) -> mp.mpf:
-    """``mp.power(x, n)``, reused from ``powers`` when the caller passes one.
-
-    A power depends on the working precision, so a ``powers`` dict must
-    never outlive the precision it was filled at.
-    """
-    if powers is None:
-        return mp.power(x, n)
-    key = (x, n)
-    value = powers.get(key)
-    if value is None:
-        value = powers[key] = mp.power(x, n)
-    return value
-
-
-def pf_coefficients(
-    num_pow: int,
-    with_origin: bool,
-    poles: Sequence[Tuple[mp.mpf, int]],
-    powers: Optional[Powers] = None,
-) -> Tuple[Optional[mp.mpf], List[List[mp.mpf]]]:
-    """Partial fractions of x^{num_pow} / (x^{o} Π_g (x+c_g)^{T_g}).
-
-    Returns (A, b) with A the origin-pole coefficient (None without origin)
-    and b[g][t-1] the coefficient of 1/(x+c_g)^t.  Uses the log-derivative
-    residue recursion at the current mp precision.
-    """
-    if with_origin and num_pow != 0:
-        raise ContractError("origin pole only combines with a constant numerator")
-    a_coeff: Optional[mp.mpf] = None
-    if with_origin:
-        a_coeff = mp.mpf(1)
-        for c, T in poles:
-            a_coeff /= _power(c, T, powers)
-    out: List[List[mp.mpf]] = []
-    p_tilde = num_pow - (1 if with_origin else 0)
-    for g, (c_g, T_g) in enumerate(poles):
-        x0 = -c_g
-        diffs = [(c_h - c_g, T_h) for h, (c_h, T_h) in enumerate(poles) if h != g]
-        # φ_g(-c_g) = (-c_g)^{p̃} / Π_{h≠g} (c_h - c_g)^{T_h}
-        phi = _power(x0, p_tilde, powers) if p_tilde != 0 else mp.mpf(1)
-        for d, T_h in diffs:
-            phi /= _power(d, T_h, powers)
-        # g^{(j)}(-c_g) = (-1)^{j-1} (j-1)! [p̃/x0^j - Σ_{h≠g} T_h/(x0+c_h)^j]
-        max_n = T_g - 1
-        gder = [mp.mpf(0)] * (max_n + 1)
-        fact = mp.mpf(1)
-        for j in range(1, max_n + 1):
-            if j > 1:
-                fact *= j - 1
-            s = mp.mpf(0)
-            if p_tilde != 0:
-                s += p_tilde / _power(x0, j, powers)
-            for d, T_h in diffs:
-                s -= T_h / _power(d, j, powers)
-            gder[j] = (-1) ** (j - 1) * fact * s
-        r = [mp.mpf(1)] + [mp.mpf(0)] * max_n
-        for n in range(1, max_n + 1):
-            acc = mp.mpf(0)
-            for j in range(n):
-                acc += math.comb(n - 1, j) * gder[n - j] * r[j]
-            r[n] = acc
-        b = [mp.mpf(0)] * T_g
-        fct = mp.mpf(1)
-        for n in range(T_g):       # b_{g, T_g - n} = φ(-c_g) r_n / n!
-            if n > 1:
-                fct *= n
-            b[T_g - n - 1] = phi * r[n] / fct
-        out.append(b)
-    return a_coeff, out
-
-
-def _single_pole_origin_coeffs(
-    c: mp.mpf, T: int, powers: Optional[Powers] = None
-) -> Tuple[mp.mpf, List[mp.mpf]]:
-    """Closed-form coefficients of 1/(x (x+c)^T): A = c^{-T}, b_t = -c^{t-T-1}."""
-    a_coeff = _power(c, -T, powers)
-    b = [-_power(c, t - T - 1, powers) for t in range(1, T + 1)]
-    return a_coeff, b
-
-
-# ---------------------------------------------------------------------------
-# mp core: J evaluations.  Each returns (value, peak) where peak is the
-# natural log of the largest absolute summand (cancellation diagnostic).
+# mp core: partial fractions
 
 
 def _mag_ln(x: mp.mpf) -> float:
+    """Upper bound on ln|x| (-inf for zero)."""
     if not x:
         return -math.inf
     return float(mp.mag(x)) * _LN2
+
+
+def _ln(x: mp.mpf) -> float:
+    f = abs(float(x))
+    return math.log(f) if 0.0 < f < math.inf else float(mp.log(abs(x)))
+
+
+def _pow_list(x: mp.mpf, n: int) -> List[mp.mpf]:
+    """[1, x, …, x^{n-1}] by successive products."""
+    out = [mp.mpf(1)]
+    for _ in range(n - 1):
+        out.append(out[-1] * x)
+    return out
+
+
+def _binom(e: int, k: int) -> int:
+    """C(e, k) for any integer e: the coefficient of y^k in (1 + y)^e."""
+    if e >= 0:
+        return math.comb(e, k) if k <= e else 0
+    return (-1) ** k * math.comb(k - e - 1, k)
+
+
+# A term list for one output coefficient: (a, b, envelope of |a·b|) triples.
+Terms = List[Tuple[mp.mpf, mp.mpf, float]]
+
+
+def _dot(terms: Terms) -> Tuple[mp.mpf, float]:
+    """Σ a·b rounded once, with its envelope (largest term plus log count)."""
+    if not terms:
+        return mp.mpf(0), -math.inf
+    value = mp.fdot([(a, b) for a, b, _ in terms])
+    return value, max(e for _, _, e in terms) + math.log(len(terms))
+
+
+def _dots(term_lists: Sequence[Terms]) -> Tuple[List[mp.mpf], List[float]]:
+    pairs = [_dot(t) for t in term_lists]
+    return [v for v, _ in pairs], [e for _, e in pairs]
+
+
+def _pole_basis(rows: Factor, c: mp.mpf):
+    """Σ_n P_n(x)·(x+c)^{n_top-n} in powers of y = x + c, from one Taylor
+    shift x^d = Σ_k C(d, k) (-c)^{d-k} y^k per degree d."""
+    top = len(rows) - 1
+    dmax = max((d for row in rows for d in row), default=0)
+    ln_c = _ln(c)
+    neg = _pow_list(-c, dmax + 1)
+    shift = [
+        [(math.comb(d, k) * neg[d - k], math.log(math.comb(d, k)) + (d - k) * ln_c)
+         for k in range(d + 1)]
+        for d in range(dmax + 1)
+    ]
+    terms: List[Terms] = [[] for _ in range(top + dmax + 1)]
+    for n, row in enumerate(rows):
+        for d, u in row.items():
+            if u:
+                eu = _mag_ln(u)
+                for k, (w, ew) in enumerate(shift[d]):
+                    terms[k + top - n].append((u, w, eu + ew))
+    return _dots(terms)
+
+
+def _expand(s, es, T: int, delta: mp.mpf, n: int, at_infinity: bool):
+    """First n coefficients of F(y) = Σ_j s_j (y + δ)^{j-T}: Taylor at y = 0,
+    or, ``at_infinity``, in w = 1/y of F / y^{deg-T} with deg = len(s) - 1."""
+    if n <= 0:
+        return [], []
+    deg, ln_d = len(s) - 1, _ln(delta)
+    up = _pow_list(delta, n if at_infinity else deg - T + 1)
+    down = [] if at_infinity else _pow_list(1 / delta, T + n)
+    terms: List[Terms] = [[] for _ in range(n)]
+    for j, sj in enumerate(s):
+        if not sj:
+            continue
+        e = j - T
+        for k in range(n):
+            # at infinity (y + δ)^e = y^e Σ_r C(e, r) δ^r w^r lands on w^{deg-j+r}
+            r = k - (deg - j) if at_infinity else k
+            coef = _binom(e, r) if r >= 0 else 0
+            if coef:
+                p = r if at_infinity else e - r
+                w = coef * (up[p] if p >= 0 else down[-p])
+                terms[k].append((sj, w, es[j] + math.log(abs(coef)) + p * ln_d))
+    return _dots(terms)
+
+
+def _series_mul(a, ea, b, eb, n: int):
+    """First n coefficients of the product of two series."""
+    terms: List[Terms] = [[] for _ in range(n)]
+    for i, ai in enumerate(a[:n]):
+        if ai:
+            for j, bj in enumerate(b[: n - i]):
+                if bj:
+                    terms[i + j].append((ai, bj, ea[i] + eb[j]))
+    return _dots(terms)
+
+
+class PartialFractions(NamedTuple):
+    """N(x)/(x^o Π_g (x+c_g)^{T_g}) = Σ_j poly[j] x^j + origin/x
+    + Σ_g Σ_t poles[g][t-1] / (x+c_g)^t, each coefficient with its envelope
+    (the ``*_ln`` fields; see the module docstring)."""
+
+    origin: Optional[mp.mpf]
+    poles: List[List[mp.mpf]]
+    poly: List[mp.mpf]
+    origin_ln: float
+    poles_ln: List[List[float]]
+    poly_ln: List[float]
+
+
+def pf_coefficients(
+    numerator: Numerator,
+    with_origin: bool,
+    poles: Sequence[Tuple[mp.mpf, int]],
+) -> PartialFractions:
+    """Partial fractions of N(x) / (x^{o} Π_g (x+c_g)^{T_g}).
+
+    ``numerator`` gives N as one ``Factor`` per pole, the g-th over powers
+    of x + c_g; an int p stands for N = x^p, and None for N = 1.
+    """
+    if numerator is None or isinstance(numerator, int):
+        one = {0: mp.mpf(1)}
+        numerator = [[{numerator or 0: mp.mpf(1)}]] + [[one]] * (len(poles) - 1)
+    bases = [_pole_basis(f, c) for f, (c, _) in zip(numerator, poles)]
+    origin, origin_ln = None, -math.inf
+    if with_origin:
+        origin, origin_ln = mp.mpf(1), 0.0
+        for f, (c, T) in zip(numerator, poles):
+            # F_g(0) = Σ_n P_n(0) c^{n_top-n-T}
+            top, ln_c = len(f) - 1, _ln(c)
+            v, e = _dot([
+                (row[0], mp.power(c, top - n - T), _mag_ln(row[0]) + (top - n - T) * ln_c)
+                for n, row in enumerate(f) if row.get(0)
+            ])
+            origin, origin_ln = origin * v, origin_ln + e
+    bs, bs_ln = [], []
+    for g, (c_g, T_g) in enumerate(poles):
+        pad = max(0, T_g - len(bases[g][0]))
+        h = bases[g][0][:T_g] + [mp.mpf(0)] * pad
+        eh = bases[g][1][:T_g] + [-math.inf] * pad
+        for k, (c_k, T_k) in enumerate(poles):
+            if k != g:
+                cof = _expand(*bases[k], T_k, c_k - c_g, T_g, False)
+                h, eh = _series_mul(h, eh, *cof, T_g)
+        if with_origin:
+            # divide by x = y - c_g: r_k = (r_{k-1} - h_k) / c_g
+            ln_c, prev, top = _ln(c_g), mp.mpf(0), -math.inf
+            for i in range(T_g):
+                prev = (prev - h[i]) / c_g
+                top = max(top, eh[i] + i * ln_c)
+                h[i], eh[i] = prev, top - (i + 1) * ln_c + math.log(i + 1)
+        bs.append(h[::-1])
+        bs_ln.append(eh[::-1])
+    # The polynomial part: x^size Π_g Φ_g(1/x), kept to its nonnegative powers.
+    size = sum(len(s) - 1 - T for (s, _), (_, T) in zip(bases, poles)) - (1 if with_origin else 0)
+    phi, ephi = [mp.mpf(1)], [0.0]
+    for (s, es), (c, T) in zip(bases, poles):
+        phi, ephi = _series_mul(phi, ephi, *_expand(s, es, T, c, size + 1, True), size + 1)
+    return PartialFractions(origin, bs, phi[::-1], origin_ln, bs_ln, ephi[::-1])
+
+
+# ---------------------------------------------------------------------------
+# mp core: J evaluations.  Each returns (value, peak) where peak is the log
+# of the envelope of its last signed sum (cancellation diagnostic).
+
+
+def _close(integrals) -> Tuple[mp.mpf, float]:
+    """Σ coefficient × integral over the (coefficient, envelope, integral)
+    triples ``integrals`` yields."""
+    return _dot([(a, i, e + _mag_ln(i)) for a, e, i in integrals if a])
+
+
+def _table(tables: Dict[object, _GammaTable], z: mp.mpf) -> _GammaTable:
+    tab = tables.get(z)
+    if tab is None:
+        tab = tables[z] = _GammaTable(z)
+    return tab
 
 
 def j0_exact_mp(
     poles: Sequence[Tuple[mp.mpf, int]],
     beta: mp.mpf,
     tables: Optional[Dict[object, _GammaTable]] = None,
-    powers: Optional[Powers] = None,
+    numerator: Numerator = None,
 ) -> Tuple[mp.mpf, float]:
-    """∫_1^∞ e^{-βx} / (x Π_g (x+c_g)^{T_g}) dx."""
-    if len(poles) == 1:
-        a_coeff, b_single = _single_pole_origin_coeffs(*poles[0], powers)
-        bs = [b_single]
-    else:
-        a_coeff, bs = pf_coefficients(0, True, poles, powers)
+    """∫_1^∞ e^{-βx} N(x) / (x Π_g (x+c_g)^{T_g}) dx, N as in ``pf_coefficients``.
+
+    Closes the polynomial part with Γ(j+1, β)/β^{j+1}, the origin with
+    E1(β) and each pole term with e^{βc} β^{t-1} Γ(1-t, β(1+c)).
+    """
     if tables is None:
         tables = {}
-    total = a_coeff * mp.e1(beta)
-    peak = _mag_ln(total)
-    for (c, T), b in zip(poles, bs):
-        z = beta * (1 + c)
-        tab = tables.get(z)
-        if tab is None:
-            tab = tables[z] = _GammaTable(z)
-        ebc = mp.exp(beta * c)
-        for t in range(1, T + 1):
-            term = b[t - 1] * _power(beta, t - 1, powers) * ebc * tab.get(1 - t)
-            total += term
-            peak = max(peak, _mag_ln(term))
-    return total, peak
+    pf = pf_coefficients(numerator, True, poles)
+    beta_pw = _pow_list(beta, max([len(pf.poly) + 2] + [T + 1 for _, T in poles]))
+
+    def integrals():
+        at_beta = _table(tables, beta)
+        yield pf.origin, pf.origin_ln, at_beta.get(0)
+        for j, (p, e) in enumerate(zip(pf.poly, pf.poly_ln)):
+            yield p, e, at_beta.get(j + 1) / beta_pw[j + 1]
+        for (c, T), b, eb in zip(poles, pf.poles, pf.poles_ln):
+            tab = _table(tables, beta * (1 + c))
+            ebc = mp.exp(beta * c)
+            for t in range(1, T + 1):
+                yield b[t - 1], eb[t - 1], beta_pw[t - 1] * ebc * tab.get(1 - t)
+
+    return _close(integrals())
 
 
 def single_pole_integral_mp(
@@ -253,7 +353,6 @@ def single_pole_integral_mp(
     beta: mp.mpf,
     c: mp.mpf,
     table: Optional[_GammaTable] = None,
-    powers: Optional[Powers] = None,
 ) -> Tuple[mp.mpf, float]:
     """∫_1^∞ x^{ν-1} e^{-βx} / (x+c)^T dx for ν ≥ 1, single pole.
 
@@ -271,9 +370,9 @@ def single_pole_integral_mp(
     for j in range(nu):
         term = (
             math.comb(nu - 1, j)
-            * _power(neg_c, nu - 1 - j, powers)
+            * mp.power(neg_c, nu - 1 - j)
             * ebc
-            * _power(beta, T - j - 1, powers)
+            * mp.power(beta, T - j - 1)
             * table.get(j - T + 1)
         )
         total += term
@@ -282,10 +381,7 @@ def single_pole_integral_mp(
 
 
 def _log_rational_assembly(
-    poles: Sequence[Tuple[mp.mpf, int]],
-    bs: Sequence[Sequence[mp.mpf]],
-    asymptotic: bool,
-    powers: Optional[Powers] = None,
+    poles: Sequence[Tuple[mp.mpf, int]], pf: PartialFractions, asymptotic: bool
 ) -> Tuple[mp.mpf, float]:
     """Σ_g [-b_{g,1} ln(1+c_g) + Σ_{t≥2} b_{g,t} (1+c_g)^{1-t}/(t-1)].
 
@@ -294,39 +390,30 @@ def _log_rational_assembly(
     x^{-2}, which makes the ln x contributions cancel (Σ residues at order 1
     plus the origin coefficient is zero).
     """
-    total = mp.mpf(0)
-    peak = -math.inf
-    for (c, T), b in zip(poles, bs):
-        base = c if asymptotic else (1 + c)
-        term = -b[0] * mp.log(base)
-        total += term
-        peak = max(peak, _mag_ln(term))
-        for t in range(2, T + 1):
-            term = b[t - 1] * _power(base, 1 - t, powers) / (t - 1)
-            total += term
-            peak = max(peak, _mag_ln(term))
-    return total, peak
+
+    def integrals():
+        for (c, T), b, eb in zip(poles, pf.poles, pf.poles_ln):
+            base = c if asymptotic else (1 + c)
+            inv = _pow_list(1 / base, T)
+            yield b[0], eb[0], -mp.log(base)
+            for t in range(2, T + 1):
+                yield b[t - 1], eb[t - 1], inv[t - 1] / (t - 1)
+
+    return _close(integrals())
 
 
 def j0_highsnr_mp(
     poles: Sequence[Tuple[mp.mpf, int]],
     asymptotic: bool = False,
-    powers: Optional[Powers] = None,
+    numerator: Numerator = None,
 ) -> Tuple[mp.mpf, float]:
-    """∫_1^∞ dx / (x Π_g (x+c_g)^{T_g}) (β = 0 ratio form)."""
-    if len(poles) == 1:
-        _, b_single = _single_pole_origin_coeffs(*poles[0], powers)
-        bs = [b_single]
-    else:
-        _, bs = pf_coefficients(0, True, poles, powers)
-    return _log_rational_assembly(poles, bs, asymptotic, powers)
+    """∫_1^∞ N(x) dx / (x Π_g (x+c_g)^{T_g}) (β = 0 ratio form), N as in
+    ``pf_coefficients``; the integrand must decay at least like x^{-2}."""
+    return _log_rational_assembly(poles, pf_coefficients(numerator, True, poles), asymptotic)
 
 
 def j1_highsnr_mp(
-    poles: Sequence[Tuple[mp.mpf, int]],
-    nu: int,
-    asymptotic: bool = False,
-    powers: Optional[Powers] = None,
+    poles: Sequence[Tuple[mp.mpf, int]], nu: int, asymptotic: bool = False
 ) -> Tuple[mp.mpf, float]:
     """∫_1^∞ x^{ν-1} dx / Π_g (x+c_g)^{T_g}, 1 ≤ ν ≤ ΣT_g - 1."""
     if nu < 1:
@@ -336,21 +423,4 @@ def j1_highsnr_mp(
         raise DomainError(
             f"x^{nu - 1} over multiplicity {total_mult} does not converge"
         )
-    if len(poles) == 1:
-        c, T = poles[0]
-        base = c if asymptotic else (1 + c)
-        neg_c = -c
-        total = mp.mpf(0)
-        peak = -math.inf
-        for j in range(nu):
-            term = (
-                math.comb(nu - 1, j)
-                * _power(neg_c, nu - 1 - j, powers)
-                * _power(base, j - T + 1, powers)
-                / (T - 1 - j)
-            )
-            total += term
-            peak = max(peak, _mag_ln(term))
-        return total, peak
-    _, bs = pf_coefficients(nu - 1, False, poles, powers)
-    return _log_rational_assembly(poles, bs, asymptotic, powers)
+    return _log_rational_assembly(poles, pf_coefficients(nu - 1, False, poles), asymptotic)

@@ -118,7 +118,7 @@ def j1_exact_mp(
         if tab is None:
             tab = tables[z] = _GammaTable(z)
         return single_pole_integral_mp(nu, T, beta, c, tab)
-    _, bs = pf_coefficients(0, False, poles)
+    bs = pf_coefficients(0, False, poles).poles
     total = mp.mpf(0)
     peak = -math.inf
     for (c, T), b in zip(poles, bs):
@@ -152,7 +152,8 @@ def expand(structure: PoleStructure) -> PartialFractionExpansion:
     """Partial-fraction coefficients of 1/(x^o Π (x+c_g)^{T_g}) as floats."""
     dps = required_dps(_float_poles(structure))
     with mp.workdps(dps):
-        a_coeff, bs = pf_coefficients(0, structure.has_origin_pole, _mp_poles(structure))
+        pf = pf_coefficients(0, structure.has_origin_pole, _mp_poles(structure))
+        a_coeff, bs = pf.origin, pf.poles
         terms = []
         for pole, b in zip(structure.poles, bs):
             for t in range(1, pole.total_multiplicity + 1):

@@ -1,0 +1,138 @@
+"""The per-pole-set assembly of the OS sum: a reference for the tests.
+
+``esrsel.esr_engine._terms`` decomposes each composition's whole integrand
+once.  This module keeps the assembly it replaced: for every composition it
+walks ``product`` over each group's row index n_g, convolves the chosen rows
+into one weight table over ν, and calls one kernel per (pole set, ν), with
+the single-pole integrals φ cached per composition.  It shares the weight
+tables and compositions with the engine, not the decomposition.
+"""
+
+from __future__ import annotations
+
+import math
+from itertools import product
+from typing import Callable, Dict, List, Tuple
+
+import mpmath as mp
+
+from esrsel.channel_model import SystemConfig
+from esrsel.esr_engine import _conv1, _conv2, _pole_groups, _rows_by_first, _v_tables
+from esrsel.partial_fractions import (
+    _GammaTable,
+    _mag_ln,
+    j0_exact_mp,
+    j0_highsnr_mp,
+    j1_highsnr_mp,
+    pf_coefficients,
+    single_pole_integral_mp,
+)
+
+# A pole set's kernel: ν ↦ (J value, log of its largest summand).
+Kernel = Callable[[int], Tuple[mp.mpf, float]]
+
+
+def _exact_kernels(
+    active: List[Tuple[int, int]], chis: List[mp.mpf], lam_D: mp.mpf
+) -> Callable[[List[Tuple[mp.mpf, int]]], Kernel]:
+    """Exact kernels of one composition: its pole sets share β = l̃/λ_D, the
+    incomplete-gamma tables and the single-pole integrals φ; several poles
+    recombine φ through their partial-fraction coefficients."""
+    beta = sum(l * c for l, c in active) / lam_D
+    zs = [beta * (1 + c) for c in chis]
+    tables = {z: _GammaTable(z) for z in zs}
+    phi_cache: Dict[Tuple[int, int, int], Tuple[mp.mpf, float]] = {}
+
+    def phi(g: int, t: int, nu: int) -> Tuple[mp.mpf, float]:
+        key = (g, t, nu)
+        if key not in phi_cache:
+            phi_cache[key] = single_pole_integral_mp(
+                nu, t, beta, chis[g], tables[zs[g]]
+            )
+        return phi_cache[key]
+
+    def at(poles: List[Tuple[mp.mpf, int]]) -> Kernel:
+        bs = pf_coefficients(0, False, poles).poles if len(poles) > 1 else None
+
+        def kernel(nu: int) -> Tuple[mp.mpf, float]:
+            if nu == 0:
+                return j0_exact_mp(poles, beta, tables)
+            if bs is None:
+                return phi(0, poles[0][1], nu)
+            j_val = mp.mpf(0)
+            j_peak = -math.inf
+            for g, (_, t_g) in enumerate(poles):
+                for t in range(1, t_g + 1):
+                    b = bs[g][t - 1]
+                    if b == 0:
+                        continue
+                    pv, pp = phi(g, t, nu)
+                    j_val += b * pv
+                    j_peak = max(j_peak, _mag_ln(b) + pp)
+            return j_val, j_peak
+
+        return kernel
+
+    return at
+
+
+def _ratio_kernels(asymptotic: bool) -> Callable[[List[Tuple[mp.mpf, int]]], Kernel]:
+    """Ratio-form (β = 0) kernels, with the λ_D → ∞ substitutions when
+    ``asymptotic``."""
+
+    def at(poles: List[Tuple[mp.mpf, int]]) -> Kernel:
+        def kernel(nu: int) -> Tuple[mp.mpf, float]:
+            if nu == 0:
+                return j0_highsnr_mp(poles, asymptotic)
+            return j1_highsnr_mp(poles, nu, asymptotic)
+
+        return kernel
+
+    return at
+
+
+def terms_per_pole_set(cfg: SystemConfig, form: str) -> Tuple[mp.mpf, int, float]:
+    """The OS sum for ``form`` ∈ {"exact", "high_snr", "asymptotic"}, one
+    kernel per (pole set, ν): (total, term count, log of the largest summand)."""
+    exact = form == "exact"
+    M_E = cfg.M_E
+    lam_D, lam_E = mp.mpf(cfg.lambda_D), mp.mpf(cfg.lambda_E)
+    v_tabs = _v_tables(cfg, exact, lam_D, lam_E)
+    u_cache: Dict[Tuple[int, int], Dict[Tuple[int, int], mp.mpf]] = {}
+
+    def u_rows(l: int, c: int) -> Dict[int, Dict[int, mp.mpf]]:
+        key = (l, c)
+        if key not in u_cache:
+            u_cache[key] = (
+                v_tabs[l] if c == 1 else _conv2(u_cache[(l, c - 1)], v_tabs[l])
+            )
+        return _rows_by_first(u_cache[key])
+
+    total = mp.mpf(0)
+    n_terms = 0
+    peak = -math.inf
+    for _, weight0, active in _pole_groups(cfg.K, cfg.L):
+        log_w0 = math.log(abs(weight0))
+        chis = [lam_D / (l * lam_E) for l, _ in active]
+        if exact:
+            kernels = _exact_kernels(active, chis, lam_D)
+        else:
+            kernels = _ratio_kernels(form == "asymptotic")
+        rows_per_group = [u_rows(l, c) for l, c in active]
+        for n_vec in product(*[sorted(r) for r in rows_per_group]):
+            g_table = rows_per_group[0][n_vec[0]]
+            for g in range(1, len(active)):
+                g_table = _conv1(g_table, rows_per_group[g][n_vec[g]])
+            kernel = kernels(
+                [(chis[g], c * M_E + n_vec[g]) for g, (_, c) in enumerate(active)]
+            )
+            for nu in sorted(g_table):
+                gv = g_table[nu]
+                if gv == 0:
+                    continue
+                j_val, j_peak = kernel(nu)
+                total += weight0 * gv * j_val
+                n_terms += 1
+                peak = max(peak, log_w0 + _mag_ln(gv) + j_peak)
+    ln2 = mp.log(2)
+    return total / ln2, n_terms, peak - float(mp.log(ln2))

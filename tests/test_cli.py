@@ -129,6 +129,28 @@ class TestSweep:
             main(["sweep", "--var", "bogus", "--from", "0", "--to", "1", "--step", "1"])
         assert e.value.code == 2
 
+    @pytest.mark.parametrize(
+        "bounds",
+        [("0", "inf", "1"), ("0", "nan", "1"), ("-inf", "0", "1"), ("0", "1", "inf"), ("0", "1", "nan")],
+    )
+    def test_non_finite_bounds_rejected(self, capsys, bounds):
+        start, stop, step = bounds
+        with pytest.raises(SystemExit) as e:
+            main(["sweep", "--var", "lambda_d_db", f"--from={start}", f"--to={stop}", f"--step={step}"])
+        assert e.value.code == 2
+        assert "must be finite" in capsys.readouterr().err
+
+    def test_point_count_is_capped_before_the_list_is_built(self, capsys):
+        cap = cli.MAX_SWEEP_POINTS
+        parser = cli.argparse.ArgumentParser()
+        assert len(cli._sweep_values("lambda_d_db", 0.0, cap - 1.0, 1.0, parser)) == cap
+        # One value too many, and a span whose point count overflows to inf.
+        for start, stop, step in ((0.0, float(cap), 1.0), (-1e308, 1e308, 1e-300)):
+            with pytest.raises(SystemExit) as e:
+                cli._sweep_values("lambda_d_db", start, stop, step, parser)
+            assert e.value.code == 2
+        assert f"at most {cap} values" in capsys.readouterr().err
+
 
 class TestCorrelationGating:
     def test_correlation_requires_monte_carlo(self, capsys):
@@ -358,6 +380,32 @@ class TestExitCodes:
         assert "--seed must lie in [0, 2**64)" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["esr", "--method", "asymptotic"],
+            ["sweep", "--var", "lambda_d_db", "--from", "0", "--to", "2", "--step", "2"],
+            ["figure", "fig3"],
+            ["validate", "--grid", "small"],
+        ],
+        ids=["esr", "sweep", "figure", "validate"],
+    )
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_a_usage_error(self, capsys, command, jobs):
+        # argparse refuses the value before any row or worker starts.
+        with pytest.raises(SystemExit) as e:
+            main(command + ["--jobs", jobs])
+        assert e.value.code == 2
+        assert "--jobs: must be at least 1" in capsys.readouterr().err
+
+    def test_jobs_is_no_config_key(self, capsys, tmp_path):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("jobs = 0\n")
+        with pytest.raises(SystemExit) as e:
+            main(["esr", "--method", "asymptotic", "--config", str(cfgfile)])
+        assert e.value.code == 2
+        assert "unknown key 'jobs'" in capsys.readouterr().err
 
     @pytest.mark.skipif(shutil.which("esrsel") is None, reason="console script not on PATH")
     def test_console_script_wired(self):

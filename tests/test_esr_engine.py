@@ -21,6 +21,8 @@ import esrsel
 from esrsel.channel_model import SystemConfig
 from esrsel.errors import CancellationError, ComplexityBudgetError, ContractError
 from esrsel.esr_engine import (
+    _as_single_transmitter,
+    _dps,
     _terms,
     _with_retry,
     asymptote_line,
@@ -33,6 +35,7 @@ from esrsel.esr_engine import (
 from esrsel.simulation import _quadrature_esr_ratio_form, quadrature_esr
 from index_algebra import enumerate_X, xi_identity_check
 from partial_fractions_float import eval_J0_exact, eval_J1_exact, group_poles
+from pole_set_reference import terms_per_pole_set
 
 # Quadrature-oracle values (frozen first).
 X1 = 2.1004124800191777  # (K,L,M_D,M_E,λ_D,λ_E) = (1,1,1,1,10,1), either scheme
@@ -371,8 +374,8 @@ print(value.hex(), n_terms, peak.hex())
 
 
 class TestKernelReuse:
-    """Integer binomials, and kernel powers reused within one composition,
-    so at one working precision only."""
+    """Integer binomials, and no value reused beyond one composition at one
+    working precision."""
 
     CFG = SystemConfig(2, 2, 3, 3, 100.0, LAMBDA_9DB)
 
@@ -423,3 +426,76 @@ class TestKernelReuse:
         assert _bits(again) == _bits(first)
         want = oracle(other, "OS").value
         assert abs(between.value - want) <= max(1e-6 * abs(want), 1e-8)
+
+
+_REFERENCE_LAMBDAS = [(100.0, LAMBDA_9DB), (1.0, 1.0), (1e4, LAMBDA_9DB)]
+_REFERENCE_CACHE = {}
+
+
+class TestFactorisedAssembly:
+    """One decomposition per composition against the per-pole-set assembly
+    it replaced, beyond C1's shapes against quadrature, and an honest peak."""
+
+    @pytest.mark.parametrize(
+        "fn,scheme,route",
+        [
+            (esr_os_exact, "OS", "exact"),
+            (esr_ss_exact, "SS", "exact"),
+            (esr_os_highsnr, "OS", "high_snr"),
+            (esr_ss_highsnr, "SS", "high_snr"),
+        ],
+        ids=["os_exact", "ss_exact", "os_high_snr", "ss_high_snr"],
+    )
+    def test_matches_per_pole_set_reference(self, fn, scheme, route):
+        # K, L, M_D, M_E in 1..3 at three (λ_D, λ_E): 243 points per
+        # function, 972 in all.  Both sides round to the same float.
+        exact = route == "exact"
+        mismatches = []
+        for (k, l, m_d, m_e), lams in itertools.product(
+            itertools.product((1, 2, 3), repeat=4), _REFERENCE_LAMBDAS
+        ):
+            cfg = SystemConfig(k, l, m_d, m_e, *lams)
+            os_cfg = cfg if scheme == "OS" else _as_single_transmitter(cfg)
+            key = (os_cfg, route)
+            if key not in _REFERENCE_CACHE:
+                _REFERENCE_CACHE[key] = _with_retry(
+                    lambda: terms_per_pole_set(os_cfg, route), _dps(os_cfg, exact)
+                )[0]
+            got = fn(cfg).value
+            if got != _REFERENCE_CACHE[key]:
+                mismatches.append((cfg, got, _REFERENCE_CACHE[key]))
+        assert not mismatches, mismatches[:5]
+
+    @pytest.mark.parametrize("lam_d", [10.0, 100.0])
+    @pytest.mark.parametrize(
+        "fn,oracle",
+        [(esr_os_exact, quadrature_esr), (esr_os_highsnr, _quadrature_esr_ratio_form)],
+        ids=["exact", "high_snr"],
+    )
+    def test_four_by_four_matches_oracle(self, fn, oracle, lam_d):
+        cfg = SystemConfig(4, 4, 4, 4, lam_d, LAMBDA_9DB)
+        want = oracle(cfg, "OS").value
+        assert abs(fn(cfg).value - want) <= max(1e-6 * abs(want), 1e-8)  # C1's tolerance
+
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            (3, 3, 3, 3, 100.0, LAMBDA_9DB),
+            (3, 3, 4, 4, 100.0, LAMBDA_9DB),
+            (3, 3, 3, 3, 1.0, 1.0),
+            (2, 2, 3, 3, 0.1, 1.0),
+        ],
+    )
+    @pytest.mark.parametrize("route", ["exact", "high_snr"])
+    def test_peak_covers_the_digits_lost(self, shape, route):
+        # The digits a run at the starting precision loses, measured against
+        # a run 40 digits finer, must not exceed what its peak reports.
+        cfg = SystemConfig(*shape)
+        dps = _dps(cfg, route == "exact")
+        with mp.workdps(dps):
+            total, _, peak = _terms(cfg, route)
+            claimed = (peak - float(mp.log(abs(total)))) / math.log(10)
+        with mp.workdps(dps + 40):
+            fine, _, _ = _terms(cfg, route)
+            correct = float(-mp.log10(abs(total - fine) / abs(fine)))
+        assert dps - correct <= claimed
