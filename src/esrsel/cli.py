@@ -13,6 +13,7 @@ import argparse
 import csv
 import math
 import os
+import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -46,6 +47,10 @@ _SWEEP_VARS = (
     "rho_e",
 )
 _INT_VARS = {"m_d", "m_e", "k", "l"}
+# Flags whose value may be a negative float.  argparse before Python 3.13
+# takes a negative number in exponent notation ("-1e1") for an option.
+_SIGNED_FLAGS = ("--lambda-d-db", "--lambda-e-db", "--from", "--to")
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 # Most values one ``sweep`` may take; each expands to one row per scheme and
 # method.
 MAX_SWEEP_POINTS = 10_000
@@ -182,6 +187,18 @@ def _jobs(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
+
+
+def _attach_negative_values(argv: Sequence[str]) -> List[str]:
+    """Join each signed flag to a negative value that follows it
+    ("--from", "-1e1" → "--from=-1e1"), so argparse reads it as the value."""
+    out: List[str] = []
+    for tok in argv:
+        if out and out[-1] in _SIGNED_FLAGS and _NEGATIVE_NUMBER.match(tok):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
 
 
 def _add_point_flags(p: argparse.ArgumentParser) -> None:
@@ -549,7 +566,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p_val.add_argument("--grid", choices=["small", "full"], default="small")
     p_val.add_argument("--jobs", type=_jobs, default=1)
 
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     active_parser = {
         "esr": p_esr,
         "sweep": p_sweep,

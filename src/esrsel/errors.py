@@ -30,15 +30,14 @@ class ContractError(SelectionModelError, ValueError):
 
 
 class ComplexityBudgetError(SelectionModelError):
-    """Estimated enumeration size exceeds the configured term budget."""
+    """The work estimate of an evaluation exceeds the configured budget."""
 
     def __init__(self, k: int, L: int, M_D: int, count: int, budget: int):
         self.k, self.L, self.M_D = k, L, M_D
         self.count, self.budget = count, budget
         super().__init__(
-            f"index enumeration for (k={k}, L={L}, M_D={M_D}) needs ~{count:.3e} "
-            f"terms, over the budget of {budget:.3e}; reduce K/L/M_D or raise "
-            f"the budget"
+            f"work estimate for (k={k}, L={L}, M_D={M_D}) is ~{count:.3e}, "
+            f"over the budget of {budget:.3e}; reduce K/L/M_D or raise the budget"
         )
 
 

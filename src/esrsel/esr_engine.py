@@ -20,7 +20,8 @@ is the exact form at β = 0, whose atoms lie on the diagonal of the exact
 ones.  Within a composition every term shares the poles χ_g, so its rows
 multiply into one numerator and one partial-fraction decomposition serves
 them all.  SS(K, L) is evaluated as OS(1, K·L), and L = 1 is the general
-case with one pole group.
+case with one pole group.  ``asymptote_line`` reads its offset off one
+asymptotic value.
 
 All assembly runs in mpmath at an adaptively chosen precision — the signed
 sums cancel catastrophically in float64 for the larger configurations.  The
@@ -33,13 +34,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import mpmath as mp
 
 from .channel_model import SystemConfig
-from .errors import CancellationError, ComplexityBudgetError, ContractError, DomainError
+from .errors import CancellationError, ComplexityBudgetError, DomainError
 from .partial_fractions import j0_exact_mp, j0_highsnr_mp, required_dps
 
 # Not called here; imported only so that bench/tracer.py's BOUNDARIES resolve.
@@ -99,7 +99,7 @@ def _norm_scheme(scheme: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# integer / rational helpers
+# integer helpers and table convolution
 
 
 def _poch(a: int, n: int) -> int:
@@ -122,15 +122,6 @@ def _multinomial(k: int, counts: Tuple[int, ...]) -> int:
     out = math.factorial(k)
     for c in counts:
         out //= math.factorial(c)
-    return out
-
-
-def _conv1(a: Dict[int, mp.mpf], b: Dict[int, mp.mpf]) -> Dict[int, mp.mpf]:
-    out: Dict[int, mp.mpf] = {}
-    for i, va in sorted(a.items()):
-        for j, vb in sorted(b.items()):
-            key = i + j
-            out[key] = out.get(key, 0) + va * vb
     return out
 
 
@@ -391,65 +382,23 @@ def esr_asymptotic(cfg: SystemConfig, scheme: str, budget: int = DEFAULT_BUDGET)
 
 
 # ---------------------------------------------------------------------------
-# asymptote lines (exact rational arithmetic, converted to float at the end)
+# asymptote lines
 
 
-def _harmonic_frac(n: int) -> Fraction:
-    return sum((Fraction(1, i) for i in range(1, n + 1)), Fraction(0))
-
-
-def _beta_frac(a: int, b: int) -> Fraction:
-    return Fraction(math.factorial(a - 1) * math.factorial(b - 1), math.factorial(a + b - 1))
+# λ_D/λ_E at which ``asymptote_line`` reads the asymptotic route: far above
+# the line's zero crossing, so the value it reads off cancels nothing.
+_LINE_REF = 2.0**64
 
 
 def asymptote_line(cfg: SystemConfig, scheme: str) -> AsymptoticLine:
-    """Slope/offset of C ≈ slope·(log2 λ_D − offset) as λ_D → ∞.
+    """Slope/offset of C ≈ slope·(log2 λ_D − offset) as λ_D → ∞, for every
+    K and L under both schemes.
 
-    The OS line is available for L = 1 only; the general-L asymptote exists
-    as pointwise values through ``esr_asymptotic``.
+    The asymptotic route is exactly affine in log2 λ_D with slope 1, so one
+    evaluation of ``esr_asymptotic`` at λ_D = 2^64·λ_E fixes the offset.
+    ``cfg.lambda_D`` is ignored.  Raises ComplexityBudgetError when that
+    evaluation is over ``DEFAULT_BUDGET``.
     """
-    s = _norm_scheme(scheme)
-    ln2 = math.log(2.0)
-    if s == "OS":
-        if cfg.L != 1:
-            raise ContractError(
-                "no closed-form OS asymptote line for L > 1; "
-                "use esr_asymptotic for pointwise values"
-            )
-        K, M_D, M_E = cfg.K, cfg.M_D, cfg.M_E
-        base = {m: Fraction(_poch(M_E, m), math.factorial(m)) for m in range(M_D)}
-        acc = Fraction(0)
-        w_tab = None
-        for k in range(1, K + 1):
-            w_tab = base if w_tab is None else _conv1(w_tab, base)
-            i1 = sum(
-                (w_tab[m] * _beta_frac(k * M_E, m) for m in sorted(w_tab) if m >= 1),
-                Fraction(0),
-            )
-            psi = _harmonic_frac(k * M_E - 1) - i1
-            acc += (-1) ** (k + 1) * math.comb(K, k) * psi
-        offset = math.log2(cfg.lambda_E) + float(acc) / ln2
-        return AsymptoticLine(1.0, offset)
-    KL = cfg.K * cfg.L
-    M_D, M_E = cfg.M_D, cfg.M_E
-    base = {m: Fraction(1, math.factorial(m)) for m in range(M_D)}
-    offset = 0.0
-    w_tab = None
-    h_me = _harmonic_frac(M_E - 1)
-    for k in range(1, KL + 1):
-        w_tab = base if w_tab is None else _conv1(w_tab, base)
-        i1 = sum(
-            (
-                w_tab[m] * Fraction(math.factorial(m - 1), k**m)
-                for m in sorted(w_tab)
-                if m >= 1
-            ),
-            Fraction(0),
-        )
-        offset += (
-            (-1) ** (k + 1)
-            * math.comb(KL, k)
-            * (math.log2(k * cfg.lambda_E) + float(h_me - i1) / ln2)
-        )
-    return AsymptoticLine(1.0, offset)
-
+    lam_ref = _LINE_REF * cfg.lambda_E
+    value = esr_asymptotic(replace(cfg, lambda_D=lam_ref), scheme).value
+    return AsymptoticLine(1.0, math.log2(lam_ref) - value)

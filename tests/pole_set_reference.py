@@ -17,7 +17,7 @@ from typing import Callable, Dict, List, Tuple
 import mpmath as mp
 
 from esrsel.channel_model import SystemConfig
-from esrsel.esr_engine import _conv1, _conv2, _pole_groups, _rows_by_first, _v_tables
+from esrsel.esr_engine import _conv2, _pole_groups, _rows_by_first, _v_tables
 from esrsel.partial_fractions import (
     _GammaTable,
     _mag_ln,
@@ -30,6 +30,15 @@ from esrsel.partial_fractions import (
 
 # A pole set's kernel: ν ↦ (J value, log of its largest summand).
 Kernel = Callable[[int], Tuple[mp.mpf, float]]
+
+
+def _conv1(a: Dict[int, mp.mpf], b: Dict[int, mp.mpf]) -> Dict[int, mp.mpf]:
+    out: Dict[int, mp.mpf] = {}
+    for i, va in sorted(a.items()):
+        for j, vb in sorted(b.items()):
+            key = i + j
+            out[key] = out.get(key, 0) + va * vb
+    return out
 
 
 def _exact_kernels(

@@ -140,6 +140,23 @@ class TestSweep:
         assert e.value.code == 2
         assert "must be finite" in capsys.readouterr().err
 
+    def test_negative_values_in_exponent_notation(self, capsys):
+        base = ["--scheme", "os", "--method", "asymptotic"]
+        sweeps = [
+            ["sweep", "--var", "lambda_d_db", *bounds, "--step", "5", *base]
+            for bounds in (["--from", "-1e1", "--to", "-0e0"], ["--from", "-10", "--to", "0"])
+        ]
+        points = [
+            ["esr", "--lambda-d-db", "-1e1", "--lambda-e-db", "-5e-1", *base],
+            ["esr", "--lambda-d-db=-10", "--lambda-e-db=-5e-1", *base],
+        ]
+        for exponent, plain in (sweeps, points):
+            code, out, _ = run_cli(exponent, capsys)
+            assert code == 0
+            assert (code, out) == run_cli(plain, capsys)[:2]
+        assert [r["lambda_d_db"] for r in parse_rows(out)] == ["-10"]
+        assert parse_rows(out)[0]["lambda_e_db"] == "-0.5"
+
     def test_point_count_is_capped_before_the_list_is_built(self, capsys):
         cap = cli.MAX_SWEEP_POINTS
         parser = cli.argparse.ArgumentParser()

@@ -19,7 +19,7 @@ import pytest
 
 import esrsel
 from esrsel.channel_model import SystemConfig
-from esrsel.errors import CancellationError, ComplexityBudgetError, ContractError
+from esrsel.errors import CancellationError, ComplexityBudgetError
 from esrsel.esr_engine import (
     _as_single_transmitter,
     _dps,
@@ -33,6 +33,7 @@ from esrsel.esr_engine import (
     esr_ss_highsnr,
 )
 from esrsel.simulation import _quadrature_esr_ratio_form, quadrature_esr
+from asymptote_reference import asymptote_offset
 from index_algebra import enumerate_X, xi_identity_check
 from partial_fractions_float import eval_J0_exact, eval_J1_exact, group_poles
 from pole_set_reference import terms_per_pole_set
@@ -270,9 +271,12 @@ class TestAsymptoteLine:
         return math.log2(cfg.lambda_D) - val
 
     def test_balanced_single_transmitter_offset_zero(self):
-        line = asymptote_line(SystemConfig(1, 1, 4, 4, 100.0, 1.0), "OS")
-        assert line.slope == 1.0
-        assert abs(line.offset) < 1e-12
+        # At λ_E = 1 the line crosses zero at λ_D = 1, where reading the
+        # asymptotic value would cancel every digit.
+        for scheme, m in itertools.product(("OS", "SS"), range(1, 5)):
+            line = asymptote_line(SystemConfig(1, 1, m, m, 1.0, 1.0), scheme)
+            assert line.slope == 1.0
+            assert abs(line.offset) < 1e-12, (scheme, m, line.offset)
 
     def test_rayleigh_three_transmitters_offset(self):
         line = asymptote_line(SystemConfig(3, 1, 1, 1, 100.0, 1.0), "OS")
@@ -299,18 +303,27 @@ class TestAsymptoteLine:
     @pytest.mark.parametrize("scheme,L", [("OS", 1), ("SS", 1), ("SS", 2)])
     def test_pointwise_values_lie_on_the_line(self, scheme, L):
         # esr_asymptotic runs the shared assembly with the asymptotic
-        # kernels; asymptote_line is exact rational arithmetic.
+        # kernels, and asymptote_line reads one of its values; the
+        # reference offset is exact rational arithmetic.
         for k, m_d, m_e in itertools.product(range(1, 4), repeat=3):
             for lam_d, lam_e in ((100.0, 1.0), (1e3, LAMBDA_9DB), (1e5, 100.0)):
                 cfg = SystemConfig(k, L, m_d, m_e, lam_d, lam_e)
+                offset = asymptote_offset(cfg, scheme)
                 line = asymptote_line(cfg, scheme)
-                want = line.slope * (math.log2(lam_d) - line.offset)
+                assert line.slope == 1.0
+                assert abs(line.offset - offset) <= 1e-12, (cfg, line.offset, offset)
+                want = math.log2(lam_d) - offset
                 got = esr_asymptotic(cfg, scheme).value
                 assert rel_err(got, want) <= 1e-12, (cfg, got, want)
 
-    def test_multi_destination_optimal_line_unsupported(self):
-        with pytest.raises(ContractError):
-            asymptote_line(SystemConfig(2, 2, 1, 1, 10.0, 1.0), "OS")
+    @pytest.mark.parametrize(
+        "shape,lam_e", [((2, 2, 1, 1), 1.0), ((1, 3, 2, 2), LAMBDA_9DB), ((2, 3, 2, 1), 100.0)]
+    )
+    def test_multi_destination_optimal_line_matches_quadrature(self, shape, lam_e):
+        line = asymptote_line(SystemConfig(*shape, 1.0, lam_e), "OS")
+        fitted = self.fit_offset(_quadrature_esr_ratio_form, shape, lam_e, "OS")
+        assert line.slope == 1.0
+        assert abs(line.offset - fitted) <= 1e-8, (shape, line.offset, fitted)
 
 
 class TestXiIdentity:
