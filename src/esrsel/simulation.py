@@ -1,8 +1,16 @@
 """Monte Carlo ground truth and the adaptive-quadrature ESR oracle.
 
-The Monte Carlo path synthesizes the per-pair channel taps (optionally with
-separable transmitter/path correlation), applies the selection rule per
-draw, and averages the clipped secrecy rate.  Substreams are counter-based:
+The Monte Carlo path draws every link SNR from its law, applies the
+selection rule per draw, and averages the clipped secrecy rate.  A link SNR
+is γ = Σ_i μ_i·P_i, where μ are the eigenvalues of the path covariance
+λ·Toeplitz(ρ) and P are unit path powers: Σ_i |h_{k,i}|² is
+[R_S^½ W R_path W^H R_S^½]_kk for white W, and W·U has the law of W for the
+real orthogonal U that diagonalises R_path.  Without transmitter correlation
+(ρ_S = 0, which includes i.i.d.) the P are independent Exp(1) draws.  With
+it, the real and imaginary tap parts are drawn as normals, coloured across
+transmitters by the Cholesky factor of R_S, and P = ½|h|².  No complex tap
+and no Kronecker factor is formed; ``draw_channels`` keeps the tap-level
+synthesis for callers that need single realizations.  Substreams are counter-based:
 chunk i uses a Philox generator keyed by the two-word key (seed, i) with a
 fixed chunk size, so estimates are bit-reproducible and independent of any
 parallel scheduling, and no two (seed, chunk) pairs share a stream (Salmon et
@@ -19,6 +27,7 @@ relative accuracy even when F is within 1e-15 of one.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
@@ -112,54 +121,21 @@ def _corr_factors(
     return np.kron(r_d, r_s), np.kron(r_e, r_s)
 
 
-def _draw_white(
-    gen: np.random.Generator, cfg: SystemConfig, n: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Unit-variance circularly symmetric white tensors, column i·K + k."""
-    shape_d = (n, cfg.L, cfg.K * cfg.M_D)
-    shape_e = (n, cfg.K * cfg.M_E)
+def draw_channels(cfg: SystemConfig, corr: CorrelationConfig, rng_state) -> ChannelRealization:
+    """One channel realization; ``rng_state`` is a seed or numpy Generator.
+
+    White circularly symmetric taps, column i·K + k, are scaled by √λ or,
+    with any correlation, multiplied by the Kronecker factor."""
+    gen = _as_generator(rng_state)
+    shape_d, shape_e = (cfg.L, cfg.K * cfg.M_D), (cfg.K * cfg.M_E,)
     w_d = gen.standard_normal(shape_d) + 1j * gen.standard_normal(shape_d)
     w_e = gen.standard_normal(shape_e) + 1j * gen.standard_normal(shape_e)
-    return w_d * math.sqrt(0.5), w_e * math.sqrt(0.5)
-
-
-def _colour(
-    cfg: SystemConfig,
-    factors: Tuple[Optional[np.ndarray], Optional[np.ndarray]],
-    w_d: np.ndarray,
-    w_e: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Map white tensors to channel taps (h_D, h_E), column i·K + k."""
-    b_d, b_e = factors
+    w_d, w_e = w_d * math.sqrt(0.5), w_e * math.sqrt(0.5)
+    b_d, b_e = _corr_factors(cfg, corr)
     if b_d is None:
-        return w_d * math.sqrt(cfg.lambda_D), w_e * math.sqrt(cfg.lambda_E)
-    return w_d @ b_d, w_e @ b_e
-
-
-def _snrs_from_white(
-    cfg: SystemConfig,
-    factors: Tuple[Optional[np.ndarray], Optional[np.ndarray]],
-    w_d: np.ndarray,
-    w_e: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Map white tensors to (γ_D[n, k, l], γ_E[n, k])."""
-    h_d, h_e = _colour(cfg, factors, w_d, w_e)
-    n = w_d.shape[0]
-    gd = (
-        (h_d.real**2 + h_d.imag**2)
-        .reshape(n, cfg.L, cfg.M_D, cfg.K)
-        .sum(axis=2)
-        .swapaxes(1, 2)
-    )
-    ge = (h_e.real**2 + h_e.imag**2).reshape(n, cfg.M_E, cfg.K).sum(axis=1)
-    return gd, ge
-
-
-def draw_channels(cfg: SystemConfig, corr: CorrelationConfig, rng_state) -> ChannelRealization:
-    """One channel realization; ``rng_state`` is a seed or numpy Generator."""
-    gen = _as_generator(rng_state)
-    w_d, w_e = _draw_white(gen, cfg, 1)
-    h_d, h_e = _colour(cfg, _corr_factors(cfg, corr), w_d, w_e)
+        h_d, h_e = w_d * math.sqrt(cfg.lambda_D), w_e * math.sqrt(cfg.lambda_E)
+    else:
+        h_d, h_e = w_d @ b_d, w_e @ b_e
     h_d = h_d.reshape(cfg.L, cfg.M_D, cfg.K).transpose(0, 2, 1)
     h_e = h_e.reshape(cfg.M_E, cfg.K).T
     return ChannelRealization(h_D=h_d, h_E=h_e)
@@ -171,6 +147,58 @@ def _as_generator(rng_state) -> np.random.Generator:
     if isinstance(rng_state, np.random.BitGenerator):
         return np.random.Generator(rng_state)
     return _substream(int(rng_state), 0)
+
+
+# ---------------------------------------------------------------------------
+# link-SNR draws
+
+
+@dataclass(frozen=True)
+class _LinkLaw:
+    """Link SNRs of one correlation configuration.  Each link SNR is
+    γ = Σ_i μ_i·P_i, with μ the eigenvalues of the path covariance
+    λ·Toeplitz(ρ) and P unit path powers, whose taps are correlated across
+    transmitters by ``rho_S``."""
+
+    rho_S: float
+    mu_d: np.ndarray
+    mu_e: np.ndarray
+
+
+def _link_law(cfg: SystemConfig, corr: CorrelationConfig) -> _LinkLaw:
+    mu_d = np.linalg.eigvalsh(ToeplitzCorrelation(cfg.M_D, corr.rho_D, cfg.lambda_D).matrix())
+    mu_e = np.linalg.eigvalsh(ToeplitzCorrelation(cfg.M_E, corr.rho_E, cfg.lambda_E).matrix())
+    return _LinkLaw(corr.rho_S, mu_d, mu_e)
+
+
+def _draw_units(
+    gen: np.random.Generator, cfg: SystemConfig, n: int, normals: bool
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Unit draws for the destination and eavesdropper links, shaped
+    (K, n, L, M_D) and (K, n, M_E): Exp(1) path powers, or, when
+    ``normals``, the real and imaginary tap parts on a leading axis of 2."""
+    lead = (2, cfg.K, n) if normals else (cfg.K, n)
+    draw = gen.standard_normal if normals else gen.standard_exponential
+    return draw(lead + (cfg.L, cfg.M_D)), draw(lead + (cfg.M_E,))
+
+
+def _colour(x: np.ndarray, rho: float) -> np.ndarray:
+    """Unit normals with the transmitter axis at 1, correlated to ρ^|k−k'|
+    by the recursion y_k = ρ·y_{k−1} + √(1−ρ²)·x_k, the Cholesky factor of
+    the Toeplitz matrix.  Elementwise, so no BLAS threads start."""
+    y = x * math.sqrt(1.0 - rho * rho)
+    y[:, 0] = x[:, 0]
+    for k in range(1, x.shape[1]):
+        y[:, k] += rho * y[:, k - 1]
+    return y
+
+
+def _snrs(law: _LinkLaw, u_d: np.ndarray, u_e: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(γ_D[n, k, l], γ_E[n, k]) from one chunk of unit draws."""
+    if u_e.ndim == 4:  # tap parts: colour across transmitters, then ½|h|²
+        u_d, u_e = (_colour(u, law.rho_S) for u in (u_d, u_e))
+        u_d, u_e = (0.5 * (u[0] ** 2 + u[1] ** 2) for u in (u_d, u_e))
+    return np.einsum("knlm,m->nkl", u_d, law.mu_d), np.einsum("knm,m->nk", u_e, law.mu_e)
 
 
 # ---------------------------------------------------------------------------
@@ -223,20 +251,30 @@ def _mc_mean(
     cfg: SystemConfig,
     trials: int,
     seed: int,
+    normals: bool,
     chunk_values: Callable[[np.ndarray, np.ndarray], np.ndarray],
 ) -> McEstimate:
-    """Mean and standard error of ``chunk_values(w_d, w_e)``, the per-draw
-    values of each chunk of white channel tensors, over ``trials`` draws."""
+    """Mean and standard error of ``chunk_values(u_d, u_e)``, the per-draw
+    values of each chunk of unit draws (see ``_draw_units``), over
+    ``trials`` draws."""
+    try:
+        trials, seed = operator.index(trials), operator.index(seed)
+    except TypeError:
+        raise DomainError(
+            f"trials and seed must be integers, got trials={trials!r}, seed={seed!r}"
+        ) from None
     if trials < 1000:
         raise DomainError("need at least 1000 trials for a usable estimate")
+    if not 0 <= seed < 2**64:
+        raise DomainError(f"seed must lie in [0, 2**64), got {seed}")
     total = 0.0
     total_sq = 0.0
     done = 0
     chunk_index = 0
     while done < trials:
         n = min(CHUNK_SIZE, trials - done)
-        w_d, w_e = _draw_white(_substream(seed, chunk_index), cfg, n)
-        values = chunk_values(w_d, w_e)
+        u_d, u_e = _draw_units(_substream(seed, chunk_index), cfg, n, normals)
+        values = chunk_values(u_d, u_e)
         total += float(values.sum())
         total_sq += float((values * values).sum())
         done += n
@@ -255,10 +293,10 @@ def estimate_esr(
 ) -> McEstimate:
     """ESR estimate: mean of [log2 Γ_S]^+ over ``trials`` channel draws."""
     s = _norm_scheme(scheme)
-    factors = _corr_factors(cfg, corr)
+    law = _link_law(cfg, corr)
     return _mc_mean(
-        cfg, trials, seed,
-        lambda w_d, w_e: _chunk_rates(*_snrs_from_white(cfg, factors, w_d, w_e), s),
+        cfg, trials, seed, law.rho_S > 0.0,
+        lambda u_d, u_e: _chunk_rates(*_snrs(law, u_d, u_e), s),
     )
 
 
@@ -272,19 +310,20 @@ def paired_esr_difference(
 ) -> McEstimate:
     """ESR(corr_a) − ESR(corr_b) with common random numbers per draw.
 
-    The paired differences share every white channel tensor, so the
-    correlation-induced gap resolves at far fewer trials than two
-    independent estimates would need.
+    Both sides compute their link SNRs from the same unit draws: complex
+    normal taps when either side has transmitter correlation, unit path
+    powers otherwise.  So the correlation-induced gap resolves at far fewer
+    trials than two independent estimates would need.
     """
     s = _norm_scheme(scheme)
-    factors_a = _corr_factors(cfg, corr_a)
-    factors_b = _corr_factors(cfg, corr_b)
+    law_a, law_b = _link_law(cfg, corr_a), _link_law(cfg, corr_b)
 
-    def diff(w_d: np.ndarray, w_e: np.ndarray) -> np.ndarray:
-        rates_a = _chunk_rates(*_snrs_from_white(cfg, factors_a, w_d, w_e), s)
-        return rates_a - _chunk_rates(*_snrs_from_white(cfg, factors_b, w_d, w_e), s)
+    def diff(u_d: np.ndarray, u_e: np.ndarray) -> np.ndarray:
+        rates_a = _chunk_rates(*_snrs(law_a, u_d, u_e), s)
+        return rates_a - _chunk_rates(*_snrs(law_b, u_d, u_e), s)
 
-    return _mc_mean(cfg, trials, seed, diff)
+    normals = law_a.rho_S > 0.0 or law_b.rho_S > 0.0
+    return _mc_mean(cfg, trials, seed, normals, diff)
 
 
 # ---------------------------------------------------------------------------

@@ -481,13 +481,18 @@ class TestFactorisedAssembly:
 
     @pytest.mark.parametrize("lam_d", [10.0, 100.0])
     @pytest.mark.parametrize(
-        "fn,oracle",
-        [(esr_os_exact, quadrature_esr), (esr_os_highsnr, _quadrature_esr_ratio_form)],
-        ids=["exact", "high_snr"],
+        "fn,oracle,scheme",
+        [
+            (esr_os_exact, quadrature_esr, "OS"),
+            (esr_os_highsnr, _quadrature_esr_ratio_form, "OS"),
+            (esr_ss_exact, quadrature_esr, "SS"),
+            (esr_ss_highsnr, _quadrature_esr_ratio_form, "SS"),
+        ],
+        ids=["exact", "high_snr", "ss_exact", "ss_high_snr"],
     )
-    def test_four_by_four_matches_oracle(self, fn, oracle, lam_d):
+    def test_four_by_four_matches_oracle(self, fn, oracle, scheme, lam_d):
         cfg = SystemConfig(4, 4, 4, 4, lam_d, LAMBDA_9DB)
-        want = oracle(cfg, "OS").value
+        want = oracle(cfg, scheme).value
         assert abs(fn(cfg).value - want) <= max(1e-6 * abs(want), 1e-8)  # C1's tolerance
 
     @pytest.mark.parametrize(

@@ -166,6 +166,27 @@ class TestEstimateEsr:
         with pytest.raises(DomainError):
             estimate_esr(SystemConfig(1, 1, 1, 1, 1.0, 1.0), IID, "OS", 999, 1)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_out_of_range_is_a_domain_error(self, seed):
+        with pytest.raises(DomainError, match="seed"):
+            estimate_esr(SystemConfig(1, 1, 1, 1, 1.0, 1.0), IID, "OS", 1000, seed)
+
+    def test_non_integer_seed_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="seed=1.5"):
+            estimate_esr(SystemConfig(1, 1, 1, 1, 1.0, 1.0), IID, "OS", 1000, 1.5)
+
+    def test_non_integer_trials_is_a_domain_error(self):
+        cfg = SystemConfig(2, 1, 1, 1, 1.0, 1.0)
+        with pytest.raises(DomainError, match="trials=1000.5"):
+            estimate_esr(cfg, IID, "OS", 1000.5, 1)
+        with pytest.raises(DomainError, match="trials=1000.5"):
+            paired_esr_difference(cfg, IID, CorrelationConfig(rho_S=0.5), "OS", 1000.5, 1)
+
+    def test_numpy_integer_seed_is_reported_as_int(self):
+        cfg = SystemConfig(1, 1, 1, 1, 1.0, 1.0)
+        est = estimate_esr(cfg, IID, "OS", 1000, np.uint64(2**64 - 1))
+        assert est.seed == 2**64 - 1 and type(est.seed) is int
+
     def test_matches_closed_form_baseline(self):
         est = estimate_esr(SystemConfig(1, 1, 1, 1, 10.0, 1.0), IID, "OS", 200000, 20240601)
         assert abs(est.mean - X1) <= 4.0 * est.stderr
@@ -185,10 +206,89 @@ class TestEstimateEsr:
         assert est.stderr > 0.0
 
 
+def _sampled_snrs(cfg, corr, trials, seed, monkeypatch):
+    """The link SNRs ``estimate_esr`` draws, one row per draw: γ_D[k, l]
+    at column k·L + l, then γ_E[k]."""
+    rows = []
+
+    def keep(gd, ge, scheme):
+        rows.append(np.concatenate([gd.reshape(len(gd), -1), ge], axis=1))
+        return np.zeros(len(gd))
+
+    monkeypatch.setattr("esrsel.simulation._chunk_rates", keep)
+    estimate_esr(cfg, corr, "OS", trials, seed)
+    return np.concatenate(rows)
+
+
+def _toeplitz_power_sum(m, rho):
+    """Σ_{i,j} ρ^{2|i−j|} over an m×m Toeplitz correlation."""
+    return sum(rho ** (2 * abs(i - j)) for i in range(m) for j in range(m))
+
+
+class TestLinkSnrMoments:
+    """The sampled link SNRs against moments derived from the channel model:
+    a path-correlated link SNR is a quadratic form of circular complex
+    normal taps, so E[γ] = λ·M and Cov(γ_{k,l}, γ_{k',l'}) =
+    [l = l']·λ²·Σ_{i,j} ρ^{2|i−j|}·ρ_S^{2|k−k'|}, and D and E links are
+    independent."""
+
+    CFG = SystemConfig(3, 2, 3, 2, 2.0, 0.5)
+
+    @pytest.mark.parametrize(
+        "corr",
+        [
+            CorrelationConfig(),
+            CorrelationConfig(rho_D=0.8, rho_E=0.6),
+            CorrelationConfig(rho_S=0.7),
+            CorrelationConfig(rho_S=0.5, rho_D=0.6, rho_E=0.4),
+        ],
+        ids=["iid", "path", "tx", "tx_path"],
+    )
+    def test_moments_within_five_sigma(self, corr, monkeypatch):
+        cfg, n = self.CFG, 200_000
+        x = _sampled_snrs(cfg, corr, n, 20240920, monkeypatch)
+        links = [("D", k, l) for k in range(cfg.K) for l in range(cfg.L)]
+        links += [("E", k, 0) for k in range(cfg.K)]
+        assert x.shape == (n, len(links))
+        lam = {"D": cfg.lambda_D, "E": cfg.lambda_E}
+        m = {"D": cfg.M_D, "E": cfg.M_E}
+        power = {"D": _toeplitz_power_sum(cfg.M_D, corr.rho_D),
+                 "E": _toeplitz_power_sum(cfg.M_E, corr.rho_E)}
+        mean = x.mean(axis=0)
+        dev = x - mean
+        failures = []
+        for a, (la, ka, da) in enumerate(links):
+            want = lam[la] * m[la]
+            se = dev[:, a].std() / math.sqrt(n)
+            if abs(mean[a] - want) > 5.0 * se:
+                failures.append(("mean", links[a], mean[a], want, se))
+            for b in range(a, len(links)):
+                lb, kb, db = links[b]
+                want = 0.0
+                if la == lb and da == db:
+                    want = lam[la] ** 2 * power[la] * corr.rho_S ** (2 * abs(ka - kb))
+                prod = dev[:, a] * dev[:, b]
+                got, se = prod.mean(), prod.std() / math.sqrt(n)
+                if abs(got - want) > 5.0 * se:
+                    failures.append(("cov", links[a], links[b], got, want, se))
+        assert not failures, failures
+
+
 class TestPairedDifference:
     def test_identical_configs_difference_is_exactly_zero(self):
         cfg = SystemConfig(2, 2, 1, 1, 10.0, 1.0)
         d = paired_esr_difference(cfg, IID, CorrelationConfig(), "OS", 2000, 3)
+        assert d.mean == 0.0
+        assert d.stderr == 0.0
+
+    @pytest.mark.parametrize(
+        "corr",
+        [CorrelationConfig(rho_D=0.9, rho_E=0.5), CorrelationConfig(rho_S=0.9)],
+        ids=["path", "tx"],
+    )
+    def test_identical_correlated_configs_difference_is_exactly_zero(self, corr):
+        cfg = SystemConfig(2, 2, 2, 2, 10.0, 1.0)
+        d = paired_esr_difference(cfg, corr, corr, "SS", 2000, 3)
         assert d.mean == 0.0
         assert d.stderr == 0.0
 
@@ -199,6 +299,16 @@ class TestPairedDifference:
         d_ba = paired_esr_difference(cfg, corr, IID, "OS", 20000, 7)
         assert d_ab.mean == -d_ba.mean
         assert d_ab.stderr == d_ba.stderr
+
+    def test_transmitter_correlation_effect_resolves_sharply(self):
+        # Either side's transmitter correlation makes both sides read
+        # complex-normal draws; the effect then resolves in both orders.
+        cfg = SystemConfig(2, 2, 2, 2, 10.0, 1.0)
+        corr = CorrelationConfig(rho_S=0.9)
+        d_ab = paired_esr_difference(cfg, IID, corr, "OS", 20000, 7)
+        d_ba = paired_esr_difference(cfg, corr, IID, "OS", 20000, 7)
+        assert d_ab.mean > 5.0 * d_ab.stderr  # transmitter correlation costs OS
+        assert d_ab.mean == -d_ba.mean
 
     def test_path_correlation_effect_resolves_sharply(self):
         # Common random numbers lift a ~0.07 bpcu effect far above noise at
