@@ -1,17 +1,25 @@
 """Tests for channel synthesis, pair selection, Monte Carlo estimation, and
 the adaptive-quadrature reference integrator."""
 
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from esrsel.channel_model import CorrelationConfig, SystemConfig
-from esrsel.errors import DomainError
+from esrsel import simulation
+from esrsel.errors import DomainError, OracleFailureError
 from esrsel.esr_engine import esr_os_exact
 from esrsel.simulation import (
+    _G21,
+    _W21,
+    _X21,
     ChannelRealization,
     ToeplitzCorrelation,
+    _gk21,
+    _quadrature,
     _substream,
     draw_channels,
     estimate_esr,
@@ -20,6 +28,7 @@ from esrsel.simulation import (
     select_os,
     select_ss,
 )
+from quadpack_reference import _quadrature as quadpack_quadrature
 
 X1 = 2.1004124800191777  # quadrature value at (1,1,1,1,10,1)
 X2 = 3.7591737775057363  # quadrature value at (2,2,2,2,10,1), optimal selection
@@ -103,6 +112,23 @@ class TestDrawChannels:
             np.mean(np.abs(h[:, 0]) ** 2) * np.mean(np.abs(h[:, 1]) ** 2)
         )
         assert abs(est - 0.5) < 0.01
+
+    @pytest.mark.parametrize("seed", [1.5, -1, 2**64, "x"])
+    def test_bad_seed_is_a_domain_error(self, seed):
+        with pytest.raises(DomainError, match="seed"):
+            draw_channels(SystemConfig(1, 1, 1, 1, 1.0, 1.0), IID, seed)
+
+    def test_integer_seed_keys_substream_zero(self):
+        cfg = SystemConfig(2, 2, 1, 1, 1.0, 1.0)
+        a = draw_channels(cfg, IID, np.uint64(7))
+        b = draw_channels(cfg, IID, _substream(7, 0))
+        assert np.array_equal(a.h_D, b.h_D) and np.array_equal(a.h_E, b.h_E)
+
+    def test_generators_pass_through(self):
+        cfg = SystemConfig(2, 2, 1, 1, 1.0, 1.0)
+        a = draw_channels(cfg, IID, np.random.PCG64(11))
+        b = draw_channels(cfg, IID, np.random.Generator(np.random.PCG64(11)))
+        assert np.array_equal(a.h_D, b.h_D) and np.array_equal(a.h_E, b.h_E)
 
 
 def hand_realization():
@@ -351,3 +377,136 @@ class TestQuadratureEsr:
         closed = esr_os_exact(cfg).value
         oracle = quadrature_esr(cfg, "OS").value
         assert abs(closed - oracle) <= max(1e-6 * abs(oracle), 1e-8)
+
+
+def _k21_once(f, a, b):
+    """The single-panel K21 value: a panel limit of one stops all bisection."""
+    value, _err, _ok, evals = _gk21(f, np.array([a]), np.array([b]), 0.0, 0.0, 1)
+    assert evals == 21
+    return value[0]
+
+
+class TestGaussKronrod:
+    def test_k21_is_exact_on_degree_31(self):
+        coef = np.random.default_rng(31).standard_normal(32)
+        poly = np.polynomial.Polynomial(coef)
+        want = poly.integ()(2.0) - poly.integ()(-1.0)
+        got = _k21_once(lambda _o, u: poly(u), -1.0, 2.0)
+        scale = np.polynomial.Polynomial(np.abs(coef)).integ()(2.0) * 3.0
+        assert abs(got - want) <= 1e-15 * scale
+        assert abs(_k21_once(lambda _o, u: u**31, 0.0, 1.0) - 1.0 / 32.0) <= 1e-16
+
+    def test_g10_is_exact_on_degree_19_only(self):
+        # The embedded Gauss weights: exact through x^19, not at x^20.
+        for p, exact in ((19, True), (18, True), (20, False)):
+            got = float((_X21**p * _G21).sum())
+            want = 0.0 if p % 2 else 2.0 / (p + 1)
+            assert (abs(got - want) <= 1e-15) == exact, p
+        assert abs(float(_W21.sum()) - 2.0) <= 4e-16
+
+    def test_batch_matches_each_integral_alone_bit_for_bit(self):
+        # Integrands of different difficulty need different numbers of
+        # rounds; batching them must not change any value, error or count.
+        rate = np.array([0.5, 40.0, 3.0, 400.0, 7.0])
+        a = np.array([0.0, 0.0, -1.0, 0.0, 1e-3])
+        b = np.array([1.0, 3.0, 2.0, 1.0, 50.0])
+
+        def f(owner, u):
+            r = rate[owner][:, None]
+            return np.exp(-r * u) * np.cos(3.0 * u) + 1.0 / (1.0 + r * u * u)
+
+        together = _gk21(f, a, b, 1e-14, 1e-12, 300)
+        evals = 0
+        for i in range(len(a)):
+            alone = _gk21(lambda o, u: f(o + i, u), a[i:i + 1], b[i:i + 1], 1e-14, 1e-12, 300)
+            for got, want in zip(together[:3], alone[:3]):
+                assert got[i] == want[0]
+            evals += alone[3]
+        assert together[3] == evals
+        assert together[2].all()
+        # Owner 0 in closed form: ∫_0^1 e^{-u/2} cos 3u du + ∫_0^1 du/(1 + u²/2).
+        e = math.exp(-0.5)
+        exact = (0.5 + e * (3.0 * math.sin(3.0) - 0.5 * math.cos(3.0))) / 9.25
+        exact += math.atan(math.sqrt(0.5)) / math.sqrt(0.5)
+        assert abs(together[0][0] - exact) <= 1e-13
+
+    def test_divergent_integrand_hits_the_panel_limit(self):
+        value, err, ok, evals = _gk21(
+            lambda _o, u: 1.0 / u, np.array([0.0]), np.array([1.0]), 1e-12, 1e-9, 300
+        )
+        assert not ok[0]
+        assert err[0] > 1e-6 * value[0]
+        assert evals <= 21 * (2 * 300 - 1)
+
+    @pytest.mark.parametrize("level,limit", [("inner", 300), ("outer", 400)])
+    def test_divergent_integrand_makes_the_oracle_raise(self, monkeypatch, level, limit):
+        def with_divergence(f, a, b, epsabs, epsrel, lim):
+            if lim == limit:
+                f = lambda owner, u: 1.0 / (u - a[owner][:, None])  # noqa: E731
+            return _gk21(f, a, b, epsabs, epsrel, lim)
+
+        monkeypatch.setattr(simulation, "_gk21", with_divergence)
+        with pytest.raises(OracleFailureError, match=level):
+            quadrature_esr(SystemConfig(1, 1, 1, 1, 10.0, 1.0), "OS")
+
+    @pytest.mark.parametrize("ratio_form", [False, True], ids=["exact", "ratio"])
+    def test_no_runtime_warning_at_high_snr(self, ratio_form):
+        cfg = SystemConfig(2, 3, 2, 1, 1e8, 1e4 * LAMBDA_9DB)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _quadrature(cfg, "OS", ratio_form, 1e-12, 1e-9).value > 0.0
+
+
+LAMBDA_9DB = 10.0 ** 0.9
+_SHAPES = list(itertools.product((1, 2, 3), repeat=4))
+# About forty points spread over C1's exact-form grid at λ_D = 20 dB, the
+# high-SNR oracle grid's ratio form, the 40/9 dB point in both forms and
+# (4,4,4,4) with its SS reduction: (K, L, M_D, M_E, λ_D, λ_E, ratio form).
+_REFERENCE_POINTS = (
+    [(*sh, 100.0, (1.0, LAMBDA_9DB)[i % 2], False) for i, sh in enumerate(_SHAPES[::8])]
+    + [(*sh, 100.0, (1.0, LAMBDA_9DB)[i % 2], True) for i, sh in enumerate(_SHAPES[3::8])]
+    + [(*sh, 1e4, LAMBDA_9DB, i % 2 == 1) for i, sh in enumerate(_SHAPES[5::8])]
+    + [(k, l, 4, 4, lam_d, LAMBDA_9DB, ratio)
+       for k, l in ((4, 4), (1, 16)) for lam_d in (10.0, 100.0) for ratio in (False, True)]
+)
+# The `validate --grid small` integrals: OS(K, L) and, for SS, OS(1, K·L).
+_VALIDATE_SMALL = sorted({
+    (k_eff, l_eff, m_d, m_e, lam_d, lam_e, False)
+    for k, l, m_d, m_e in itertools.product((1, 2), repeat=4)
+    for k_eff, l_eff in ((k, l), (1, k * l))
+    for lam_d in (1.0, 10.0)
+    for lam_e in (1.0, LAMBDA_9DB)
+})
+
+
+def _both(point):
+    cfg, ratio = SystemConfig(*point[:6]), point[6]
+    return (
+        _quadrature(cfg, "OS", ratio, 1e-12, 1e-9),
+        quadpack_quadrature(cfg, "OS", ratio, 1e-12, 1e-9),
+    )
+
+
+class TestAgainstQuadpackReference:
+    """The batched G10/K21 oracle against the nested-QUADPACK one it
+    replaced, which uses the same rule, error estimate and tolerances."""
+
+    def test_values_match_to_rounding(self):
+        worst = max(
+            abs(new.value - ref.value) / ref.value
+            for new, ref in map(_both, _REFERENCE_POINTS)
+        )
+        assert worst <= 2e-15, worst
+
+    def test_validate_small_grid_same_values_and_evaluation_counts(self):
+        for point in _VALIDATE_SMALL:
+            new, ref = _both(point)
+            assert abs(new.value - ref.value) <= 2e-15 * ref.value, point
+            assert new.term_count == ref.term_count, point
+
+    @pytest.mark.parametrize("shape", [(2, 3, 2, 1), (1, 3, 2, 1)])
+    def test_high_snr_points_within_the_outer_tolerance(self, shape):
+        # At 80/49 dB the two refinement orders stop on different panel
+        # sets; both values then sit within the outer epsrel of each other.
+        new, ref = _both((*shape, 1e8, 1e4 * LAMBDA_9DB, False))
+        assert abs(new.value - ref.value) <= 1e-9 * ref.value
