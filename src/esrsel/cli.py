@@ -5,6 +5,14 @@ self-contained validation harness.  All numeric output is CSV.
 touching the library (λ_E = 9 dB means 10^0.9 ≈ 7.943).  Correlation is only
 meaningful to the Monte Carlo method; requesting any closed-form or
 quadrature method with a nonzero ρ is a usage error.
+
+Arguments take one path to rows.  argparse states every flag's default, type
+and choices once; ``--config FILE`` turns its ``key = value`` lines into
+``--key=value`` arguments placed right after the subcommand, so they pass
+the same checks and flags on the command line win.  ``esr`` is the sweep of
+a single point.  Every row a command builds (swept and preset rows too) is
+validated, and an unwritable ``--out`` refused, before any row runs.
+Usage errors exit 2, library errors (``SelectionModelError``) exit 1.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Set, Tuple
 
 from .channel_model import CorrelationConfig, SystemConfig
 from .errors import SelectionModelError
@@ -55,45 +63,6 @@ _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 # method.
 MAX_SWEEP_POINTS = 10_000
 _METHODS = ("exact", "highsnr", "asymptotic", "quadrature", "mc")
-
-_DEFAULTS: Dict[str, object] = {
-    "scheme": "both",
-    "method": "exact",
-    "k": 1,
-    "l": 1,
-    "md": 1,
-    "me": 1,
-    "lambda_d_db": 10.0,
-    "lambda_e_db": 0.0,
-    "rho_s": 0.0,
-    "rho_d": 0.0,
-    "rho_e": 0.0,
-    "trials": 100_000,
-    "seed": 12345,
-    "out": None,
-}
-
-_CONFIG_TYPES = {
-    "scheme": str,
-    "method": str,
-    "k": int,
-    "l": int,
-    "md": int,
-    "me": int,
-    "lambda_d_db": float,
-    "lambda_e_db": float,
-    "rho_s": float,
-    "rho_d": float,
-    "rho_e": float,
-    "trials": int,
-    "seed": int,
-    "var": str,
-    "from": float,
-    "to": float,
-    "step": float,
-    "out": str,
-}
-
 
 @dataclass(frozen=True)
 class RowSpec:
@@ -202,39 +171,37 @@ def _attach_negative_values(argv: Sequence[str]) -> List[str]:
 
 
 def _add_point_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--scheme", choices=["os", "ss", "both"], default=None)
+    p.add_argument("--scheme", choices=["os", "ss", "both"], default="both")
     p.add_argument(
         "--method",
         choices=list(_METHODS) + ["all"],
-        default=None,
+        default="exact",
         help="evaluation route; 'all' expands to every method",
     )
-    p.add_argument("--k", type=int, default=None, help="number of transmitters K")
-    p.add_argument("--l", type=int, default=None, help="number of destinations L")
-    p.add_argument("--md", type=int, default=None, help="destination paths M_D")
-    p.add_argument("--me", type=int, default=None, help="eavesdropper paths M_E")
+    p.add_argument("--k", type=int, default=1, help="number of transmitters K")
+    p.add_argument("--l", type=int, default=1, help="number of destinations L")
+    p.add_argument("--md", type=int, default=1, help="destination paths M_D")
+    p.add_argument("--me", type=int, default=1, help="eavesdropper paths M_E")
     p.add_argument(
         "--lambda-d-db",
         type=float,
-        default=None,
-        dest="lambda_d_db",
+        default=10.0,
         help="destination per-path SNR in dB (10^(dB/10) linear inside)",
     )
     p.add_argument(
         "--lambda-e-db",
         type=float,
-        default=None,
-        dest="lambda_e_db",
+        default=0.0,
         help="eavesdropper per-path SNR in dB (9 dB = 7.943 linear)",
     )
-    p.add_argument("--rho-s", type=float, default=None, dest="rho_s",
+    p.add_argument("--rho-s", type=float, default=0.0,
                    help="transmitter correlation (mc only)")
-    p.add_argument("--rho-d", type=float, default=None, dest="rho_d",
+    p.add_argument("--rho-d", type=float, default=0.0,
                    help="destination path correlation (mc only)")
-    p.add_argument("--rho-e", type=float, default=None, dest="rho_e",
+    p.add_argument("--rho-e", type=float, default=0.0,
                    help="eavesdropper path correlation (mc only)")
-    p.add_argument("--trials", type=int, default=None, help="mc trial count")
-    p.add_argument("--seed", type=int, default=None, help="mc seed (64-bit)")
+    p.add_argument("--trials", type=int, default=100_000, help="mc trial count")
+    p.add_argument("--seed", type=int, default=12345, help="mc seed (64-bit)")
     p.add_argument("--out", default=None, help="CSV output path (default stdout)")
     p.add_argument("--config", default=None,
                    help="key=value file supplying defaults; flags override")
@@ -242,13 +209,16 @@ def _add_point_flags(p: argparse.ArgumentParser) -> None:
                    help="worker processes for multi-row runs (at least 1)")
 
 
-def _read_config(path: str, parser: argparse.ArgumentParser) -> Dict[str, object]:
-    out: Dict[str, object] = {}
+def _config_args(path: str, parser: argparse.ArgumentParser, keys: Set[str]) -> List[str]:
+    """The ``key = value`` lines of a config file as ``--key=value`` arguments
+    of ``parser``.  ``keys`` holds every config key; a line whose flag
+    ``parser`` lacks is skipped."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
     except OSError as exc:
         parser.error(f"cannot read config file {path}: {exc}")
+    out: List[str] = []
     for ln, raw in enumerate(lines, 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -257,80 +227,30 @@ def _read_config(path: str, parser: argparse.ArgumentParser) -> Dict[str, object
             parser.error(f"{path}:{ln}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
         key = key.strip().replace("-", "_")
-        if key not in _CONFIG_TYPES:
+        if key not in keys:
             parser.error(f"{path}:{ln}: unknown key {key!r}")
-        try:
-            out[key] = _CONFIG_TYPES[key](value.strip())
-        except ValueError:
-            parser.error(f"{path}:{ln}: bad value for {key}: {value.strip()!r}")
+        flag = "--" + key.replace("_", "-")
+        if flag in parser._option_string_actions:
+            out.append(f"{flag}={value.strip()}")
     return out
 
 
-def _merged(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Dict[str, object]:
-    merged = dict(_DEFAULTS)
-    if getattr(args, "config", None):
-        merged.update(_read_config(args.config, parser))
-    for key in _DEFAULTS:
-        flag_val = getattr(args, key, None)
-        if flag_val is not None:
-            merged[key] = flag_val
-    return merged
-
-
-def _validate_point(m: Dict[str, object], parser: argparse.ArgumentParser) -> None:
-    for key in ("k", "l", "md", "me"):
-        if int(m[key]) < 1:
-            parser.error(f"--{key} must be a positive integer")
-    for key in ("rho_s", "rho_d", "rho_e"):
-        if not 0.0 <= float(m[key]) < 1.0:
-            parser.error(f"--{key.replace('_', '-')} must lie in [0, 1)")
-    if int(m["trials"]) < 1000:
+def _validate_row(row: RowSpec, parser: argparse.ArgumentParser) -> None:
+    for field in ("k", "l", "m_d", "m_e"):
+        if getattr(row, field) < 1:
+            parser.error(f"--{field.replace('_', '')} must be a positive integer")
+    for field in ("rho_s", "rho_d", "rho_e"):
+        if not 0.0 <= getattr(row, field) < 1.0:
+            parser.error(f"--{field.replace('_', '-')} must lie in [0, 1)")
+    if row.trials < 1000:
         parser.error("--trials must be at least 1000")
-    _validate_seed(m, parser)
-
-
-def _validate_seed(m: Dict[str, object], parser: argparse.ArgumentParser) -> None:
-    if not 0 <= int(m["seed"]) < 2**64:
+    if not 0 <= row.seed < 2**64:
         parser.error("--seed must lie in [0, 2**64)")
-
-
-def _methods_of(m: Dict[str, object]) -> List[str]:
-    method = str(m["method"])
-    return list(_METHODS) if method == "all" else [method]
-
-
-def _schemes_of(m: Dict[str, object]) -> List[str]:
-    scheme = str(m["scheme"])
-    return ["os", "ss"] if scheme == "both" else [scheme]
-
-
-def _base_row(m: Dict[str, object]) -> RowSpec:
-    return RowSpec(
-        scheme="os",
-        method="exact",
-        k=int(m["k"]),
-        l=int(m["l"]),
-        m_d=int(m["md"]),
-        m_e=int(m["me"]),
-        lambda_d_db=float(m["lambda_d_db"]),
-        lambda_e_db=float(m["lambda_e_db"]),
-        rho_s=float(m["rho_s"]),
-        rho_d=float(m["rho_d"]),
-        rho_e=float(m["rho_e"]),
-        trials=int(m["trials"]),
-        seed=int(m["seed"]),
-    )
-
-
-def _check_corr_vs_methods(
-    rows: Sequence[RowSpec], parser: argparse.ArgumentParser
-) -> None:
-    for row in rows:
-        if row.method != "mc" and (row.rho_s or row.rho_d or row.rho_e):
-            parser.error(
-                "correlation (ρ ≠ 0) is only supported by --method mc; "
-                "closed forms and quadrature assume i.i.d. channels"
-            )
+    if row.method != "mc" and (row.rho_s or row.rho_d or row.rho_e):
+        parser.error(
+            "correlation (ρ ≠ 0) is only supported by --method mc; "
+            "closed forms and quadrature assume i.i.d. channels"
+        )
 
 
 def _sweep_values(
@@ -373,15 +293,31 @@ def _pool_map(fn: Callable, items: Sequence, jobs: int) -> list:
         return list(pool.map(fn, items))
 
 
-def _emit(rows: Sequence[RowSpec], out: Optional[str], jobs: int) -> int:
-    rendered = _pool_map(compute_row, rows, jobs)
-    fh = open(out, "w", newline="", encoding="utf-8") if out else sys.stdout
+def _emit(rows: Sequence[RowSpec], args: argparse.Namespace) -> int:
+    """Compute ``rows`` and write them as CSV.  Every row and the ``--out``
+    path are checked before any row runs; the file is opened for writing
+    only after every row has succeeded, so a failing row leaves it as it was."""
+    for row in rows:
+        _validate_row(row, args.parser)
+    created = bool(args.out) and not os.path.lexists(args.out)
+    if args.out:
+        try:
+            open(args.out, "a", encoding="utf-8").close()  # neither truncates nor writes
+        except OSError as exc:
+            args.parser.exit(2, f"{args.parser.prog}: error: cannot write {args.out}: {exc.strerror}\n")
+    try:
+        rendered = _pool_map(compute_row, rows, args.jobs)
+    except BaseException:
+        if created:
+            os.remove(args.out)
+        raise
+    fh = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
     try:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_HEADER.split(","))
         writer.writerows(rendered)
     finally:
-        if out:
+        if args.out:
             fh.close()
     return 0
 
@@ -390,38 +326,21 @@ def _emit(rows: Sequence[RowSpec], out: Optional[str], jobs: int) -> int:
 # subcommands
 
 
-def _cmd_esr(args, parser) -> int:
-    m = _merged(args, parser)
-    _validate_point(m, parser)
-    base = _base_row(m)
-    rows = [
-        replace(base, scheme=s, method=meth)
-        for s in _schemes_of(m)
-        for meth in _methods_of(m)
-    ]
-    _check_corr_vs_methods(rows, parser)
-    return _emit(rows, m.get("out"), args.jobs)
-
-
-def _cmd_sweep(args, parser) -> int:
-    m = _merged(args, parser)
-    _validate_point(m, parser)
-    var = args.var if args.var is not None else m.get("var")
-    start = args.start if args.start is not None else m.get("from")
-    stop = args.stop if args.stop is not None else m.get("to")
-    step = args.step if args.step is not None else m.get("step")
-    if var is None or start is None or stop is None or step is None:
-        parser.error("sweep requires --var, --from, --to, --step")
-    values = _sweep_values(str(var), float(start), float(stop), float(step), parser)
-    base = _base_row(m)
-    rows = [
-        replace(_apply_var(base, str(var), v), scheme=s, method=meth)
-        for v in values
-        for s in _schemes_of(m)
-        for meth in _methods_of(m)
-    ]
-    _check_corr_vs_methods(rows, parser)
-    return _emit(rows, m.get("out"), args.jobs)
+def _cmd_rows(args: argparse.Namespace) -> int:
+    """``esr`` and ``sweep``: one row per scheme and method at each point.
+    ``esr`` is the sweep of a single point."""
+    point = RowSpec("os", "exact", args.k, args.l, args.md, args.me, args.lambda_d_db,
+                    args.lambda_e_db, args.rho_s, args.rho_d, args.rho_e, args.trials, args.seed)
+    points = [point]
+    if args.command == "sweep":
+        if None in (args.var, args.start, args.stop, args.step):
+            args.parser.error("sweep requires --var, --from, --to, --step")
+        values = _sweep_values(args.var, args.start, args.stop, args.step, args.parser)
+        points = [_apply_var(point, args.var, v) for v in values]
+    schemes = ["os", "ss"] if args.scheme == "both" else [args.scheme]
+    methods = list(_METHODS) if args.method == "all" else [args.method]
+    rows = [replace(p, scheme=s, method=m) for p in points for s in schemes for m in methods]
+    return _emit(rows, args)
 
 
 _FIG5_RHO_SETS = (
@@ -478,11 +397,8 @@ def figure_preset(name: str, trials: int = 100_000, seed: int = 12345) -> List[R
     return rows
 
 
-def _cmd_figure(args, parser) -> int:
-    m = _merged(args, parser)
-    _validate_seed(m, parser)
-    rows = figure_preset(args.name, trials=int(m["trials"]), seed=int(m["seed"]))
-    return _emit(rows, m.get("out"), args.jobs)
+def _cmd_figure(args: argparse.Namespace) -> int:
+    return _emit(figure_preset(args.name, trials=args.trials, seed=args.seed), args)
 
 
 def _validate_one(task: Tuple[int, int, int, int, float, float, str]) -> Tuple[str, bool]:
@@ -501,7 +417,7 @@ def _validate_one(task: Tuple[int, int, int, int, float, float, str]) -> Tuple[s
     return line, ok
 
 
-def _cmd_validate(args, parser) -> int:
+def _cmd_validate(args: argparse.Namespace) -> int:
     if args.grid == "small":
         kl_vals, m_vals, ld_vals, le_vals = (1, 2), (1, 2), (0.0, 10.0), (0.0, 9.0)
     else:
@@ -566,21 +482,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p_val.add_argument("--grid", choices=["small", "full"], default="small")
     p_val.add_argument("--jobs", type=_jobs, default=1)
 
-    args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
-    active_parser = {
-        "esr": p_esr,
-        "sweep": p_sweep,
-        "figure": p_fig,
-        "validate": p_val,
-    }[args.command]
+    for p, run in ((p_esr, _cmd_rows), (p_sweep, _cmd_rows), (p_fig, _cmd_figure),
+                   (p_val, _cmd_validate)):
+        p.set_defaults(run=run, parser=p)
+
+    argv = _attach_negative_values(sys.argv[1:] if argv is None else argv)
+    args = parser.parse_args(argv)
+    if getattr(args, "config", None):
+        # File values go right after the subcommand, so flags given after
+        # them on the command line win, and argparse checks both alike.
+        keys = {opt[2:].replace("-", "_") for opt in p_sweep._option_string_actions
+                if opt.startswith("--")} - {"config", "jobs", "help"}
+        at = argv.index(args.command) + 1
+        args = parser.parse_args(argv[:at] + _config_args(args.config, args.parser, keys) + argv[at:])
     try:
-        if args.command == "esr":
-            return _cmd_esr(args, active_parser)
-        if args.command == "sweep":
-            return _cmd_sweep(args, active_parser)
-        if args.command == "figure":
-            return _cmd_figure(args, active_parser)
-        return _cmd_validate(args, active_parser)
+        return args.run(args)
     except SelectionModelError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

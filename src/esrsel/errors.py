@@ -37,7 +37,8 @@ class ComplexityBudgetError(SelectionModelError):
         self.count, self.budget = count, budget
         super().__init__(
             f"work estimate for (k={k}, L={L}, M_D={M_D}) is ~{count:.3e}, "
-            f"over the budget of {budget:.3e}; reduce K/L/M_D or raise the budget"
+            f"over the budget of {budget:.3e}; reduce K/L/M_D or use "
+            "method='quadrature' for this config"
         )
 
 

@@ -31,6 +31,29 @@ def parse_rows(out):
     return list(reader)
 
 
+def run_module(argv):
+    """Run ``python -m esrsel`` in a separate process, so that a traceback
+    would reach stderr."""
+    src = str(Path(esrsel.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "esrsel", *argv],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=env,
+    )
+
+
+@pytest.fixture
+def rows_run(monkeypatch):
+    """The rows ``compute_row`` was called with; a refused run calls it for none."""
+    ran = []
+    monkeypatch.setattr(cli, "compute_row", ran.append)
+    return ran
+
+
 class TestCsvContract:
     def test_header_exact(self):
         assert CSV_HEADER == (
@@ -168,6 +191,38 @@ class TestSweep:
             assert e.value.code == 2
         assert f"at most {cap} values" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            *((["--var", var, "--from", "0", "--to", "2", "--step", "1"],
+               f"{flag} must be a positive integer")
+              for var, flag in (("k", "--k"), ("l", "--l"), ("m_d", "--md"), ("m_e", "--me"))),
+            *((["--var", var, "--from", "0", "--to", "1", "--step", "0.5", "--method", "mc",
+                "--trials", "1000"], f"{flag} must lie in [0, 1)")
+              for var, flag in (("rho_s", "--rho-s"), ("rho_d", "--rho-d"), ("rho_e", "--rho-e"))),
+            (["--var", "rho_d", "--from", "0", "--to", "0.5", "--step", "0.5"],
+             "correlation (ρ ≠ 0) is only supported by --method mc"),
+            (["--var", "lambda_d_db", "--from", "0", "--to", "1", "--step", "1",
+              "--trials", "999"], "--trials must be at least 1000"),
+        ],
+        ids=["k", "l", "m_d", "m_e", "rho_s", "rho_d", "rho_e", "rho_without_mc", "trials"],
+    )
+    def test_swept_values_are_validated_before_any_row(self, rows_run, capsys, argv, message):
+        with pytest.raises(SystemExit) as e:
+            main(["sweep", *argv])
+        assert e.value.code == 2
+        assert message in capsys.readouterr().err
+        assert rows_run == []
+
+    def test_swept_value_replaces_an_invalid_base(self, capsys):
+        code, out, _ = run_cli(
+            ["sweep", "--var", "m_d", "--from", "1", "--to", "3", "--step", "1", "--md", "0",
+             "--scheme", "os", "--method", "asymptotic"],
+            capsys,
+        )
+        assert code == 0
+        assert [r["M_D"] for r in parse_rows(out)] == ["1", "2", "3"]
+
 
 class TestCorrelationGating:
     def test_correlation_requires_monte_carlo(self, capsys):
@@ -192,6 +247,35 @@ class TestCorrelationGating:
         with pytest.raises(SystemExit) as e:
             main(["esr", "--method", "mc", "--rho-s", "1.0"])
         assert e.value.code == 2
+
+
+MC_POINT = ["esr", "--scheme", "os", "--method", "mc", "--trials", "1000", "--seed", "3"]
+SWEEP = ["sweep", "--var", "lambda_d_db", "--from", "0", "--to", "10", "--step", "5",
+         "--scheme", "os", "--method", "asymptotic"]
+
+
+def dropping(argv, flag):
+    """``argv`` without ``flag`` and its value."""
+    i = argv.index(flag)
+    return argv[:i] + argv[i + 2:]
+
+
+# (argv without the key's flag, config key, value) for every config key but
+# ``out``; one key is written with dashes, which config files also accept.
+CONFIG_KEY_CASES = [
+    (["esr", "--method", "asymptotic"], "scheme", "ss"),
+    (["esr", "--scheme", "os"], "method", "highsnr"),
+    *((["esr", "--method", "asymptotic"], key, "2") for key in ("k", "l", "md", "me")),
+    (["esr", "--method", "asymptotic"], "lambda_d_db", "-1e1"),
+    (["esr", "--method", "asymptotic"], "lambda-e-db", "-5e-1"),
+    *((MC_POINT, key, "0.5") for key in ("rho_s", "rho_d", "rho_e")),
+    (dropping(MC_POINT, "--trials"), "trials", "1500"),
+    (dropping(MC_POINT, "--seed"), "seed", "7"),
+    (dropping(SWEEP, "--var"), "var", "lambda_e_db"),
+    (dropping(SWEEP, "--from"), "from", "-1e1"),
+    (dropping(SWEEP, "--to"), "to", "15"),
+    (dropping(SWEEP, "--step"), "step", "2.5"),
+]
 
 
 class TestConfigFile:
@@ -223,6 +307,48 @@ class TestConfigFile:
         with pytest.raises(SystemExit) as e:
             main(["esr", "--config", str(cfgfile)])
         assert e.value.code == 2
+
+    @pytest.mark.parametrize(
+        "text",
+        ["scheme = foo\nmethod = exact\n", "method = bogus\n", "scheme = OS\n"],
+        ids=["scheme-foo", "method-bogus", "scheme-OS"],
+    )
+    def test_value_outside_the_flag_choices_is_a_usage_error(self, capsys, tmp_path, text):
+        cfgfile = tmp_path / "bad.cfg"
+        cfgfile.write_text(text)
+        with pytest.raises(SystemExit) as e:
+            main(["esr", "--config", str(cfgfile)])
+        assert e.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "invalid choice" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv,key,value", CONFIG_KEY_CASES, ids=[key for _, key, _ in CONFIG_KEY_CASES]
+    )
+    def test_each_key_gives_the_bytes_of_its_flag(self, capsys, tmp_path, argv, key, value):
+        code, by_flag, _ = run_cli(argv + ["--" + key.replace("_", "-"), value], capsys)
+        assert code == 0
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(f"{key} = {value}\n")
+        assert run_cli(argv + ["--config", str(cfgfile)], capsys)[:2] == (0, by_flag)
+
+    def test_out_key_writes_the_bytes_of_its_flag(self, capsys, tmp_path):
+        argv = ["esr", "--scheme", "os", "--method", "asymptotic"]
+        by_flag, by_key, cfgfile = tmp_path / "flag.csv", tmp_path / "key.csv", tmp_path / "run.cfg"
+        cfgfile.write_text(f"out = {by_key}\n")
+        assert main(argv + ["--out", str(by_flag)]) == 0
+        assert main(argv + ["--config", str(cfgfile)]) == 0
+        assert capsys.readouterr().out == ""
+        assert by_key.read_bytes() == by_flag.read_bytes()
+
+    def test_sweep_key_is_ignored_by_esr(self, capsys, tmp_path):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("var = k\n")
+        argv = ["esr", "--scheme", "os", "--method", "asymptotic"]
+        code, out, _ = run_cli(argv + ["--config", str(cfgfile)], capsys)
+        assert (code, out) == run_cli(argv, capsys)[:2]
+        assert code == 0
 
 
 class TestReproducibility:
@@ -273,6 +399,13 @@ class TestFigurePresets:
         with pytest.raises(SystemExit) as e:
             main(["figure", "fig9"])
         assert e.value.code == 2
+
+    def test_preset_rows_are_validated_before_any_row(self, rows_run, capsys):
+        with pytest.raises(SystemExit) as e:
+            main(["figure", "fig5", "--trials", "999"])
+        assert e.value.code == 2
+        assert "--trials must be at least 1000" in capsys.readouterr().err
+        assert rows_run == []
 
     def test_multipath_figure_end_to_end(self, capsys):
         code, out, _ = run_cli(["figure", "fig4", "--jobs", "4"], capsys)
@@ -350,6 +483,7 @@ class TestExitCodes:
         )
         assert code == 1
         assert "error" in err.lower()
+        assert "method='quadrature'" in err
 
     def test_invalid_count_rejected(self):
         with pytest.raises(SystemExit) as e:
@@ -397,6 +531,38 @@ class TestExitCodes:
         assert "--seed must lie in [0, 2**64)" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
+
+    @pytest.mark.parametrize("target", ["missing/x.csv", "."], ids=["missing-dir", "directory"])
+    def test_unwritable_out_is_a_usage_error(self, tmp_path, target):
+        out = tmp_path / target
+        proc = run_module(["esr", "--method", "asymptotic", "--out", str(out)])
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"esrsel esr: error: cannot write {out}: ")
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stdout == ""
+
+    def test_unwritable_out_is_refused_before_any_row(self, rows_run, capsys, tmp_path):
+        with pytest.raises(SystemExit) as e:
+            main(["esr", "--method", "all", "--out", str(tmp_path / "missing" / "x.csv")])
+        assert e.value.code == 2
+        assert rows_run == []
+
+    @pytest.mark.parametrize("existing", [True, False], ids=["existing", "absent"])
+    def test_failing_row_leaves_the_out_file_as_it_was(self, capsys, tmp_path, existing):
+        target = tmp_path / "rows.csv"
+        if existing:
+            target.write_text("kept\n")
+        code, _, err = run_cli(
+            ["esr", "--scheme", "os", "--method", "exact", "--k", "8", "--l", "8",
+             "--md", "12", "--me", "12", "--out", str(target)],
+            capsys,
+        )
+        assert code == 1
+        assert "budget" in err
+        if existing:
+            assert target.read_text() == "kept\n"
+        else:
+            assert not target.exists()
 
     @pytest.mark.parametrize(
         "command",
