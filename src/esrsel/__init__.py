@@ -23,16 +23,6 @@ from .esr_engine import (
     esr_ss_exact,
     esr_ss_highsnr,
 )
-from .simulation import (
-    ChannelRealization,
-    McEstimate,
-    ToeplitzCorrelation,
-    draw_channels,
-    estimate_esr,
-    paired_esr_difference,
-    quadrature_esr,
-    select_os,
-    select_ss,
-)
+from .simulation import McEstimate, estimate_esr, paired_esr_difference, quadrature_esr
 
 __version__ = "0.1.0"

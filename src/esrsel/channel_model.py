@@ -17,6 +17,8 @@ parameterization.
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 from dataclasses import dataclass
 
 from .errors import DomainError
@@ -29,6 +31,21 @@ __all__ = [
     "snr_cdf",
     "secrecy_rate",
 ]
+
+
+def _check_count(name: str, v) -> None:
+    """A multipath or node count: an integer (``operator.index``) >= 1."""
+    try:
+        ok = operator.index(v) >= 1
+    except TypeError:
+        ok = False
+    if not ok:
+        raise DomainError(f"{name} must be an integer >= 1, got {v!r}")
+
+
+def _check_scale(name: str, v) -> None:
+    if not (isinstance(v, numbers.Real) and v > 0.0 and math.isfinite(v)):
+        raise DomainError(f"{name} must be positive and finite, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -48,19 +65,9 @@ class SystemConfig:
 
     def __post_init__(self) -> None:
         for name in ("K", "L", "M_D", "M_E"):
-            v = getattr(self, name)
-            if int(v) != v or v < 1:
-                raise DomainError(f"{name} must be an integer >= 1, got {v}")
+            _check_count(name, getattr(self, name))
         for name in ("lambda_D", "lambda_E"):
-            v = getattr(self, name)
-            if not (v > 0.0 and math.isfinite(v)):
-                raise DomainError(f"{name} must be positive and finite, got {v}")
-
-    def dest_dist(self) -> "GammaSnrDist":
-        return GammaSnrDist(self.M_D, self.lambda_D)
-
-    def eaves_dist(self) -> "GammaSnrDist":
-        return GammaSnrDist(self.M_E, self.lambda_E)
+            _check_scale(name, getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -71,10 +78,8 @@ class GammaSnrDist:
     scale: float
 
     def __post_init__(self) -> None:
-        if int(self.shape) != self.shape or self.shape < 1:
-            raise DomainError(f"shape must be an integer >= 1, got {self.shape}")
-        if not (self.scale > 0.0 and math.isfinite(self.scale)):
-            raise DomainError(f"scale must be positive and finite, got {self.scale}")
+        _check_count("shape", self.shape)
+        _check_scale("scale", self.scale)
 
     @property
     def mean(self) -> float:
@@ -93,12 +98,8 @@ class CorrelationConfig:
     def __post_init__(self) -> None:
         for name in ("rho_S", "rho_D", "rho_E"):
             v = getattr(self, name)
-            if not (0.0 <= v < 1.0):
-                raise DomainError(f"{name} must lie in [0, 1), got {v}")
-
-    @property
-    def is_iid(self) -> bool:
-        return self.rho_S == 0.0 and self.rho_D == 0.0 and self.rho_E == 0.0
+            if not (isinstance(v, numbers.Real) and 0.0 <= v < 1.0):
+                raise DomainError(f"{name} must lie in [0, 1), got {v!r}")
 
 
 def snr_pdf(dist: GammaSnrDist, x: float) -> float:

@@ -200,6 +200,11 @@ def _add_point_flags(p: argparse.ArgumentParser) -> None:
                    help="destination path correlation (mc only)")
     p.add_argument("--rho-e", type=float, default=0.0,
                    help="eavesdropper path correlation (mc only)")
+    _add_run_flags(p)
+
+
+def _add_run_flags(p: argparse.ArgumentParser) -> None:
+    """The flags of every row-emitting subcommand, ``figure`` included."""
     p.add_argument("--trials", type=int, default=100_000, help="mc trial count")
     p.add_argument("--seed", type=int, default=12345, help="mc seed (64-bit)")
     p.add_argument("--out", default=None, help="CSV output path (default stdout)")
@@ -476,7 +481,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     p_fig = sub.add_parser("figure", help="emit data for a reference figure")
     p_fig.add_argument("name", choices=["fig2", "fig3", "fig4", "fig5"])
-    _add_point_flags(p_fig)
+    _add_run_flags(p_fig)
 
     p_val = sub.add_parser("validate", help="closed forms vs quadrature vs mc")
     p_val.add_argument("--grid", choices=["small", "full"], default="small")

@@ -9,12 +9,11 @@ real orthogonal U that diagonalises R_path.  Without transmitter correlation
 (ρ_S = 0, which includes i.i.d.) the P are independent Exp(1) draws.  With
 it, the real and imaginary tap parts are drawn as normals, coloured across
 transmitters by the Cholesky factor of R_S, and P = ½|h|².  No complex tap
-and no Kronecker factor is formed; ``draw_channels`` keeps the tap-level
-synthesis for callers that need single realizations.  Substreams are counter-based:
-chunk i uses a Philox generator keyed by the two-word key (seed, i) with a
-fixed chunk size, so estimates are bit-reproducible and independent of any
-parallel scheduling, and no two (seed, chunk) pairs share a stream (Salmon et
-al., "Parallel random numbers: as easy as 1, 2, 3", SC'11).
+and no Kronecker factor is formed.  Substreams are counter-based: chunk i
+uses a Philox generator keyed by the two-word key (seed, i) with a fixed
+chunk size, so estimates are bit-reproducible and independent of any
+parallel scheduling, and no two (seed, chunk) pairs share a stream (Salmon
+et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11).
 
 The quadrature path evaluates C = (1/ln 2) ∫_1^∞ (1 - F(x))/x dx directly
 from the model CDFs with nested adaptive Gauss–Kronrod integration — no
@@ -34,7 +33,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 from scipy import special as sp
@@ -44,12 +43,7 @@ from .errors import DomainError, OracleFailureError
 from .esr_engine import EsrResult, _norm_scheme
 
 __all__ = [
-    "ChannelRealization",
-    "ToeplitzCorrelation",
     "McEstimate",
-    "draw_channels",
-    "select_os",
-    "select_ss",
     "estimate_esr",
     "paired_esr_difference",
     "quadrature_esr",
@@ -57,40 +51,6 @@ __all__ = [
 
 CHUNK_SIZE = 1 << 14  # draws per RNG substream; fixed so results never depend
 # on how chunks are scheduled
-
-
-@dataclass(frozen=True)
-class ChannelRealization:
-    """One channel draw: h_D[l, k, i] over paths i, h_E[k, i]."""
-
-    h_D: np.ndarray
-    h_E: np.ndarray
-
-
-@dataclass(frozen=True)
-class ToeplitzCorrelation:
-    """Exponential-decay correlation: entry (i, j) = scale · rho^|i-j|."""
-
-    size: int
-    rho: float
-    scale: float
-
-    def __post_init__(self) -> None:
-        if self.size < 1:
-            raise DomainError("correlation matrix size must be >= 1")
-        if not 0.0 <= self.rho < 1.0:
-            raise DomainError("correlation coefficient must lie in [0, 1)")
-        if not (self.scale > 0.0 and math.isfinite(self.scale)):
-            raise DomainError("correlation scale must be positive and finite")
-
-    def matrix(self) -> np.ndarray:
-        idx = np.arange(self.size)
-        return self.scale * self.rho ** np.abs(idx[:, None] - idx[None, :])
-
-    def sqrt_factor(self) -> np.ndarray:
-        """Principal (symmetric PSD) square root via eigendecomposition."""
-        w, v = np.linalg.eigh(self.matrix())
-        return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
 
 
 @dataclass(frozen=True)
@@ -104,54 +64,12 @@ class McEstimate:
 
 
 # ---------------------------------------------------------------------------
-# channel synthesis
+# random streams
 
 
 def _substream(seed: int, chunk_index: int) -> np.random.Generator:
     key = np.array([seed, chunk_index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
-
-
-def _corr_factors(
-    cfg: SystemConfig, corr: CorrelationConfig
-) -> Tuple[Optional[np.ndarray], Optional[np.ndarray]]:
-    """Kronecker square-root factors (destination, eavesdropper), or None
-    when the configuration is i.i.d. (plain √λ scaling applies)."""
-    if corr.is_iid:
-        return None, None
-    r_s = ToeplitzCorrelation(cfg.K, corr.rho_S, 1.0).sqrt_factor()
-    r_d = ToeplitzCorrelation(cfg.M_D, corr.rho_D, cfg.lambda_D).sqrt_factor()
-    r_e = ToeplitzCorrelation(cfg.M_E, corr.rho_E, cfg.lambda_E).sqrt_factor()
-    return np.kron(r_d, r_s), np.kron(r_e, r_s)
-
-
-def draw_channels(cfg: SystemConfig, corr: CorrelationConfig, rng_state) -> ChannelRealization:
-    """One channel realization; ``rng_state`` is a seed in [0, 2**64), a
-    numpy Generator or a BitGenerator.
-
-    White circularly symmetric taps, column i·K + k, are scaled by √λ or,
-    with any correlation, multiplied by the Kronecker factor."""
-    gen = _as_generator(rng_state)
-    shape_d, shape_e = (cfg.L, cfg.K * cfg.M_D), (cfg.K * cfg.M_E,)
-    w_d = gen.standard_normal(shape_d) + 1j * gen.standard_normal(shape_d)
-    w_e = gen.standard_normal(shape_e) + 1j * gen.standard_normal(shape_e)
-    w_d, w_e = w_d * math.sqrt(0.5), w_e * math.sqrt(0.5)
-    b_d, b_e = _corr_factors(cfg, corr)
-    if b_d is None:
-        h_d, h_e = w_d * math.sqrt(cfg.lambda_D), w_e * math.sqrt(cfg.lambda_E)
-    else:
-        h_d, h_e = w_d @ b_d, w_e @ b_e
-    h_d = h_d.reshape(cfg.L, cfg.M_D, cfg.K).transpose(0, 2, 1)
-    h_e = h_e.reshape(cfg.M_E, cfg.K).T
-    return ChannelRealization(h_D=h_d, h_E=h_e)
-
-
-def _as_generator(rng_state) -> np.random.Generator:
-    if isinstance(rng_state, np.random.Generator):
-        return rng_state
-    if isinstance(rng_state, np.random.BitGenerator):
-        return np.random.Generator(rng_state)
-    return _substream(_checked_seed(rng_state), 0)
 
 
 def _checked_seed(seed) -> int:
@@ -181,9 +99,15 @@ class _LinkLaw:
     mu_e: np.ndarray
 
 
+def _toeplitz(size: int, rho: float, scale: float) -> np.ndarray:
+    """Exponential-decay covariance: entry (i, j) = scale · rho^|i-j|."""
+    idx = np.arange(size)
+    return scale * rho ** np.abs(idx[:, None] - idx[None, :])
+
+
 def _link_law(cfg: SystemConfig, corr: CorrelationConfig) -> _LinkLaw:
-    mu_d = np.linalg.eigvalsh(ToeplitzCorrelation(cfg.M_D, corr.rho_D, cfg.lambda_D).matrix())
-    mu_e = np.linalg.eigvalsh(ToeplitzCorrelation(cfg.M_E, corr.rho_E, cfg.lambda_E).matrix())
+    mu_d = np.linalg.eigvalsh(_toeplitz(cfg.M_D, corr.rho_D, cfg.lambda_D))
+    mu_e = np.linalg.eigvalsh(_toeplitz(cfg.M_E, corr.rho_E, cfg.lambda_E))
     return _LinkLaw(corr.rho_S, mu_d, mu_e)
 
 
@@ -219,29 +143,6 @@ def _snrs(law: _LinkLaw, u_d: np.ndarray, u_e: np.ndarray) -> Tuple[np.ndarray, 
 
 # ---------------------------------------------------------------------------
 # selection rules
-
-
-def _snr_matrices(r: ChannelRealization) -> Tuple[np.ndarray, np.ndarray]:
-    gamma_d = (r.h_D.real**2 + r.h_D.imag**2).sum(axis=2)  # (L, K)
-    gamma_e = (r.h_E.real**2 + r.h_E.imag**2).sum(axis=1)  # (K,)
-    return gamma_d.T, gamma_e  # (K, L), (K,)
-
-
-def select_os(r: ChannelRealization, cfg: SystemConfig) -> Tuple[int, int, float]:
-    """Pair maximizing (1+γ_D)/(1+γ_E); ties to the smallest (k, l), 1-based."""
-    gamma_d, gamma_e = _snr_matrices(r)
-    ratio = (1.0 + gamma_d) / (1.0 + gamma_e[:, None])
-    flat = int(np.argmax(ratio))
-    k, l = divmod(flat, cfg.L)
-    return k + 1, l + 1, float(ratio[k, l])
-
-
-def select_ss(r: ChannelRealization, cfg: SystemConfig) -> Tuple[int, int, float]:
-    """Pair maximizing γ_D alone; the ratio still prices in that pair's γ_E."""
-    gamma_d, gamma_e = _snr_matrices(r)
-    flat = int(np.argmax(gamma_d))
-    k, l = divmod(flat, cfg.L)
-    return k + 1, l + 1, float((1.0 + gamma_d[k, l]) / (1.0 + gamma_e[k]))
 
 
 def _chunk_rates(gd: np.ndarray, ge: np.ndarray, scheme: str) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -133,6 +134,14 @@ class TestConfigValidation:
             dict(K=1, L=1, M_D=1, M_E=1, lambda_D=1.0, lambda_E=-2.0),
             dict(K=1, L=1, M_D=1, M_E=1, lambda_D=math.inf, lambda_E=1.0),
             dict(K=1, L=1, M_D=1, M_E=1, lambda_D=1.0, lambda_E=math.nan),
+            # Counts must be integers (``operator.index``), not integral
+            # floats, and every scale a real number.
+            dict(K=2.0, L=2, M_D=2, M_E=2, lambda_D=10.0, lambda_E=1.0),
+            dict(K=1, L=1, M_D=2.0, M_E=1, lambda_D=1.0, lambda_E=1.0),
+            dict(K=math.nan, L=1, M_D=1, M_E=1, lambda_D=1.0, lambda_E=1.0),
+            dict(K=math.inf, L=1, M_D=1, M_E=1, lambda_D=1.0, lambda_E=1.0),
+            dict(K=1, L=1, M_D=1, M_E=1, lambda_D="1", lambda_E=1.0),
+            dict(K=1, L=1, M_D=1, M_E=1, lambda_D=1.0, lambda_E=1j),
         ],
     )
     def test_bad_system_config_rejected(self, kwargs):
@@ -140,12 +149,17 @@ class TestConfigValidation:
             SystemConfig(**kwargs)
 
     def test_bad_distribution_rejected(self):
-        with pytest.raises(DomainError):
-            GammaSnrDist(0, 1.0)
-        with pytest.raises(DomainError):
-            GammaSnrDist(2, 0.0)
+        for shape, scale in [(0, 1.0), (2, 0.0), (2.0, 1.0), (math.nan, 1.0), (math.inf, 1.0),
+                             (2, "1"), (2, 1j)]:
+            with pytest.raises(DomainError):
+                GammaSnrDist(shape, scale)
 
-    @pytest.mark.parametrize("bad", [-0.1, 1.0, 1.5])
+    def test_integer_like_counts_accepted(self):
+        cfg = SystemConfig(np.int64(2), 1, 2, np.uint8(3), np.float64(10.0), 1)
+        assert (cfg.K, cfg.M_E) == (2, 3)
+        assert GammaSnrDist(np.int32(2), 1).mean == 2
+
+    @pytest.mark.parametrize("bad", [-0.1, 1.0, 1.5, math.nan, "0.5"])
     def test_correlation_exponent_bounds(self, bad):
         with pytest.raises(DomainError):
             CorrelationConfig(rho_S=bad)
@@ -153,7 +167,3 @@ class TestConfigValidation:
             CorrelationConfig(rho_D=bad)
         with pytest.raises(DomainError):
             CorrelationConfig(rho_E=bad)
-
-    def test_iid_flag(self):
-        assert CorrelationConfig().is_iid
-        assert not CorrelationConfig(rho_E=0.3).is_iid

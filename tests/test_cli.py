@@ -407,6 +407,25 @@ class TestFigurePresets:
         assert "--trials must be at least 1000" in capsys.readouterr().err
         assert rows_run == []
 
+    @pytest.mark.parametrize(
+        "flag", [["--k", "5"], ["--method", "mc"], ["--rho-s", "0.5"]], ids=["k", "method", "rho-s"]
+    )
+    def test_point_flag_is_a_usage_error(self, flag):
+        # A preset fixes every parameter but trials and seed, so a flag it
+        # would ignore is refused.
+        proc = run_module(["figure", "fig4", *flag])
+        assert proc.returncode == 2
+        assert "unrecognized arguments" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
+    def test_point_config_key_is_ignored(self, capsys, tmp_path):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("k = 5\nmethod = mc\n")
+        code, out, _ = run_cli(["figure", "fig4", "--config", str(cfgfile)], capsys)
+        assert (code, out) == run_cli(["figure", "fig4"], capsys)[:2]
+        assert code == 0
+
     def test_multipath_figure_end_to_end(self, capsys):
         code, out, _ = run_cli(["figure", "fig4", "--jobs", "4"], capsys)
         assert code == 0

@@ -1,5 +1,8 @@
-"""Tests for channel synthesis, pair selection, Monte Carlo estimation, and
-the adaptive-quadrature reference integrator."""
+"""Tests for the Monte Carlo estimators and the adaptive-quadrature oracle.
+
+The tap-level channel model in ``tap_reference`` checks the link-SNR
+sampler: its draws recover the tap covariances, its selection rules agree
+with hand examples, and its ESR agrees with ``estimate_esr``."""
 
 import itertools
 import math
@@ -16,19 +19,22 @@ from esrsel.simulation import (
     _G21,
     _W21,
     _X21,
-    ChannelRealization,
-    ToeplitzCorrelation,
+    _chunk_rates,
     _gk21,
     _quadrature,
     _substream,
-    draw_channels,
     estimate_esr,
     paired_esr_difference,
     quadrature_esr,
+)
+from quadpack_reference import _quadrature as quadpack_quadrature
+from tap_reference import (
+    ChannelRealization,
+    ToeplitzCorrelation,
+    draw_channels,
     select_os,
     select_ss,
 )
-from quadpack_reference import _quadrature as quadpack_quadrature
 
 X1 = 2.1004124800191777  # quadrature value at (1,1,1,1,10,1)
 X2 = 3.7591737775057363  # quadrature value at (2,2,2,2,10,1), optimal selection
@@ -66,21 +72,24 @@ class TestToeplitzCorrelation:
             ToeplitzCorrelation(2, 0.5, 0.0)
 
 
+def correlation(a, b):
+    """The normalized correlation Re E[a·b*] / √(E|a|²·E|b|²) of two tap samples."""
+    power = np.mean(np.abs(a) ** 2) * np.mean(np.abs(b) ** 2)
+    return np.mean(a * np.conj(b)).real / math.sqrt(power)
+
+
 class TestDrawChannels:
     def test_shapes_and_dtype(self):
         cfg = SystemConfig(3, 2, 4, 2, 1.0, 1.0)
-        r = draw_channels(cfg, IID, np.random.default_rng(0))
-        assert r.h_D.shape == (2, 3, 4)  # (L, K, M_D)
-        assert r.h_E.shape == (3, 2)  # (K, M_E)
+        r = draw_channels(cfg, IID, 5, np.random.default_rng(0))
+        assert r.h_D.shape == (5, 2, 3, 4)  # (n, L, K, M_D)
+        assert r.h_E.shape == (5, 3, 2)  # (n, K, M_E)
         assert r.h_D.dtype == np.complex128
 
     def test_iid_covariance_is_scaled_identity(self):
         cfg = SystemConfig(2, 1, 2, 1, 2.0, 1.0)
-        rng = np.random.default_rng(20240901)
         n = 20000
-        vecs = np.empty((n, 4), dtype=np.complex128)
-        for i in range(n):
-            vecs[i] = draw_channels(cfg, IID, rng).h_D.ravel()
+        vecs = draw_channels(cfg, IID, n, np.random.default_rng(20240901)).h_D.reshape(n, -1)
         cov = (vecs.conj().T @ vecs) / n
         tol = 4.0 * cfg.lambda_D / math.sqrt(n)
         assert np.all(np.abs(np.diag(cov).real - cfg.lambda_D) < tol)
@@ -90,85 +99,91 @@ class TestDrawChannels:
     def test_path_correlation_is_synthesized(self):
         cfg = SystemConfig(1, 1, 2, 1, 1.0, 1.0)
         corr = CorrelationConfig(rho_D=0.9)
-        rng = np.random.default_rng(20240902)
-        n = 40000
-        h = np.empty((n, 2), dtype=np.complex128)
-        for i in range(n):
-            h[i] = draw_channels(cfg, corr, rng).h_D[0, 0]
-        est = np.mean(h[:, 0] * np.conj(h[:, 1])).real / math.sqrt(
-            np.mean(np.abs(h[:, 0]) ** 2) * np.mean(np.abs(h[:, 1]) ** 2)
-        )
-        assert abs(est - 0.9) < 0.01
+        h = draw_channels(cfg, corr, 40000, np.random.default_rng(20240902)).h_D[:, 0, 0]
+        assert abs(correlation(h[:, 0], h[:, 1]) - 0.9) < 0.01
 
     def test_transmitter_correlation_is_synthesized(self):
         cfg = SystemConfig(2, 1, 1, 1, 1.0, 1.0)
         corr = CorrelationConfig(rho_S=0.5)
-        rng = np.random.default_rng(20240903)
-        n = 40000
-        h = np.empty((n, 2), dtype=np.complex128)
-        for i in range(n):
-            h[i] = draw_channels(cfg, corr, rng).h_D[0, :, 0]
-        est = np.mean(h[:, 0] * np.conj(h[:, 1])).real / math.sqrt(
-            np.mean(np.abs(h[:, 0]) ** 2) * np.mean(np.abs(h[:, 1]) ** 2)
-        )
-        assert abs(est - 0.5) < 0.01
-
-    @pytest.mark.parametrize("seed", [1.5, -1, 2**64, "x"])
-    def test_bad_seed_is_a_domain_error(self, seed):
-        with pytest.raises(DomainError, match="seed"):
-            draw_channels(SystemConfig(1, 1, 1, 1, 1.0, 1.0), IID, seed)
-
-    def test_integer_seed_keys_substream_zero(self):
-        cfg = SystemConfig(2, 2, 1, 1, 1.0, 1.0)
-        a = draw_channels(cfg, IID, np.uint64(7))
-        b = draw_channels(cfg, IID, _substream(7, 0))
-        assert np.array_equal(a.h_D, b.h_D) and np.array_equal(a.h_E, b.h_E)
-
-    def test_generators_pass_through(self):
-        cfg = SystemConfig(2, 2, 1, 1, 1.0, 1.0)
-        a = draw_channels(cfg, IID, np.random.PCG64(11))
-        b = draw_channels(cfg, IID, np.random.Generator(np.random.PCG64(11)))
-        assert np.array_equal(a.h_D, b.h_D) and np.array_equal(a.h_E, b.h_E)
+        h = draw_channels(cfg, corr, 40000, np.random.default_rng(20240903)).h_D[:, 0, :, 0]
+        assert abs(correlation(h[:, 0], h[:, 1]) - 0.5) < 0.01
 
 
 def hand_realization():
-    """Exact dyadic-square taps giving destination SNRs [[3,1],[0.5,9]]
-    (indexed transmitter, destination) and eavesdropper SNRs [1,4]."""
-    h_d = np.zeros((2, 2, 2), dtype=np.complex128)  # (L, K, M_D)
-    h_d[0, 0] = (1.5 + 0.5j, 0.5 + 0.5j)  # (k=1,l=1): 2.5 + 0.5 = 3
-    h_d[1, 0] = (1.0, 0.0)  # (k=1,l=2): 1
-    h_d[0, 1] = (0.5 + 0.5j, 0.0)  # (k=2,l=1): 0.5
-    h_d[1, 1] = (3.0, 0.0)  # (k=2,l=2): 9
-    h_e = np.array([[1.0], [2.0]], dtype=np.complex128)  # (K, M_E)
+    """One draw of exact dyadic-square taps giving destination SNRs
+    [[3,1],[0.5,9]] (indexed transmitter, destination) and eavesdropper
+    SNRs [1,4]."""
+    h_d = np.zeros((1, 2, 2, 2), dtype=np.complex128)  # (n, L, K, M_D)
+    h_d[0, 0, 0] = (1.5 + 0.5j, 0.5 + 0.5j)  # (k=1,l=1): 2.5 + 0.5 = 3
+    h_d[0, 1, 0] = (1.0, 0.0)  # (k=1,l=2): 1
+    h_d[0, 0, 1] = (0.5 + 0.5j, 0.0)  # (k=2,l=1): 0.5
+    h_d[0, 1, 1] = (3.0, 0.0)  # (k=2,l=2): 9
+    h_e = np.array([[[1.0], [2.0]]], dtype=np.complex128)  # (n, K, M_E)
     return ChannelRealization(h_D=h_d, h_E=h_e)
+
+
+def tap_esr(cfg, corr, scheme, n, seed):
+    """Mean and standard error of [log2 Γ]^+ over ``n`` tap-level draws."""
+    r = draw_channels(cfg, corr, n, np.random.default_rng(seed))
+    ratio = (select_os if scheme == "OS" else select_ss)(r)[2]
+    rates = np.maximum(np.log2(ratio), 0.0)
+    return rates.mean(), rates.std(ddof=1) / math.sqrt(n)
 
 
 class TestSelection:
     def test_hand_example_with_tie(self):
-        cfg = SystemConfig(2, 2, 2, 1, 1.0, 1.0)
         r = hand_realization()
         # Ratio metric ties at 2.0 for (1,1) and (2,2); lexicographic
         # tie-break must pick (1,1).
-        assert select_os(r, cfg) == (1, 1, 2.0)
+        assert [x[0] for x in select_os(r)] == [1, 1, 2.0]
         # Destination-only metric picks the SNR-9 pair.
-        assert select_ss(r, cfg) == (2, 2, 2.0)
+        assert [x[0] for x in select_ss(r)] == [2, 2, 2.0]
 
     def test_single_pair_trivial(self):
         cfg = SystemConfig(1, 1, 2, 2, 4.0, 1.0)
-        r = draw_channels(cfg, IID, np.random.default_rng(5))
-        assert select_os(r, cfg) == select_ss(r, cfg)
-        k, l, ratio = select_os(r, cfg)
-        assert (k, l) == (1, 1)
-        gamma_d = float(np.sum(np.abs(r.h_D) ** 2))
-        gamma_e = float(np.sum(np.abs(r.h_E) ** 2))
+        r = draw_channels(cfg, IID, 50, np.random.default_rng(5))
+        k, l, ratio = select_os(r)
+        for got, want in zip(select_ss(r), (k, l, ratio)):
+            assert np.array_equal(got, want)
+        assert np.all(k == 1) and np.all(l == 1)
+        gamma_d = np.sum(np.abs(r.h_D) ** 2, axis=(1, 2, 3))
+        gamma_e = np.sum(np.abs(r.h_E) ** 2, axis=(1, 2))
         assert ratio == pytest.approx((1 + gamma_d) / (1 + gamma_e), rel=1e-12)
 
     def test_optimal_ratio_dominates_every_draw(self):
         cfg = SystemConfig(3, 2, 2, 2, 8.0, 2.0)
-        rng = np.random.default_rng(42)
-        for _ in range(300):
-            r = draw_channels(cfg, IID, rng)
-            assert select_os(r, cfg)[2] >= select_ss(r, cfg)[2]
+        r = draw_channels(cfg, IID, 300, np.random.default_rng(42))
+        assert np.all(select_os(r)[2] >= select_ss(r)[2])
+
+    @pytest.mark.parametrize("scheme", ["OS", "SS"])
+    def test_tap_level_esr_matches_the_law_sampler(self, scheme):
+        # Taps through the Kronecker factor and the reference selection
+        # rules against eigenvalue-weighted path powers through
+        # ``_chunk_rates``: the two share no code past the configuration.
+        cfg, n = SystemConfig(3, 2, 2, 2, 10.0, 2.0), 100_000
+        failures = []
+        for corr in (IID, CorrelationConfig(rho_D=0.9), CorrelationConfig(rho_S=0.9),
+                     CorrelationConfig(0.5, 0.5, 0.5)):
+            taps, taps_se = tap_esr(cfg, corr, scheme, n, 20241101)
+            law = estimate_esr(cfg, corr, scheme, n, 20241101)
+            z = (taps - law.mean) / math.hypot(taps_se, law.stderr)
+            if abs(z) > 5.0:
+                failures.append((corr, taps, law.mean, z))
+        assert not failures, failures
+
+
+class TestChunkRates:
+    def test_hand_example_reads_the_selected_transmitters_eavesdropper(self):
+        # K = 3 ≠ L = 2 and 1 + γ_E = 1, 2, 4 per transmitter, so reading
+        # γ_E at flat // K, flat % K or flat % L instead of flat // L would
+        # change the SS rate of draw 0.
+        gd = np.array([
+            [[1.0, 3.0], [0.0, 5.0], [7.0, 3.0]],  # OS: 4 at (1, 2); SS: 7 at (3, 1)
+            [[0.5, 0.0], [1.0, 0.0], [0.0, 0.0]],  # every ratio below 1
+        ])
+        ge = np.array([[0.0, 1.0, 3.0], [3.0, 7.0, 1.0]])
+        assert _chunk_rates(gd, ge, "OS").tolist() == [2.0, 0.0]  # log2(4/1)
+        assert _chunk_rates(gd, ge, "SS").tolist() == [1.0, 0.0]  # log2(8/4)
 
 
 class TestEstimateEsr:
@@ -200,6 +215,8 @@ class TestEstimateEsr:
     def test_non_integer_seed_is_a_domain_error(self):
         with pytest.raises(DomainError, match="seed=1.5"):
             estimate_esr(SystemConfig(1, 1, 1, 1, 1.0, 1.0), IID, "OS", 1000, 1.5)
+        with pytest.raises(DomainError, match="seed='x'"):
+            estimate_esr(SystemConfig(1, 1, 1, 1, 1.0, 1.0), IID, "OS", 1000, "x")
 
     def test_non_integer_trials_is_a_domain_error(self):
         cfg = SystemConfig(2, 1, 1, 1, 1.0, 1.0)
