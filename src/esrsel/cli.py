@@ -10,9 +10,12 @@ Arguments take one path to rows.  argparse states every flag's default, type
 and choices once; ``--config FILE`` turns its ``key = value`` lines into
 ``--key=value`` arguments placed right after the subcommand, so they pass
 the same checks and flags on the command line win.  ``esr`` is the sweep of
-a single point.  Every row a command builds (swept and preset rows too) is
-validated, and an unwritable ``--out`` refused, before any row runs.
-Usage errors exit 2, library errors (``SelectionModelError``) exit 1.
+a single point.  Every subcommand builds its rows with ``_expand``,
+``_inputs`` turns a row into the library's configs and ``_evaluate``
+dispatches it.  Every row a command builds is checked by those configs and
+the library's trials and seed checks, and an unwritable ``--out`` refused,
+before any row runs.  Usage errors exit 2 with the library's message,
+library errors (``SelectionModelError``) exit 1.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Sequence, Set, Tuple
 
 from .channel_model import CorrelationConfig, SystemConfig
-from .errors import SelectionModelError
+from .errors import DomainError, SelectionModelError
 from .esr_engine import (
     esr_asymptotic,
     esr_os_exact,
@@ -36,7 +39,7 @@ from .esr_engine import (
     esr_ss_exact,
     esr_ss_highsnr,
 )
-from .simulation import estimate_esr, quadrature_esr
+from .simulation import _checked_seed, _checked_trials, estimate_esr, quadrature_esr
 
 CSV_HEADER = (
     "scheme,method,K,L,M_D,M_E,lambda_d_db,lambda_e_db,rho_s,rho_d,rho_e,"
@@ -84,7 +87,12 @@ class RowSpec:
 
 
 def _db_to_linear(db: float) -> float:
-    return 10.0 ** (db / 10.0)
+    """10^(dB/10), or ``inf`` where that overflows; ``SystemConfig`` refuses
+    ``inf`` as it refuses ``0.0`` and ``nan``."""
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        return math.inf
 
 
 def _fmt(value, spec: str = "%.12g") -> str:
@@ -95,36 +103,40 @@ def _fmt(value, spec: str = "%.12g") -> str:
     return spec % value
 
 
+def _inputs(row: RowSpec) -> Tuple[SystemConfig, CorrelationConfig]:
+    """The library's inputs for ``row``; their constructors check every value."""
+    cfg = SystemConfig(row.k, row.l, row.m_d, row.m_e,
+                       _db_to_linear(row.lambda_d_db), _db_to_linear(row.lambda_e_db))
+    return cfg, CorrelationConfig(row.rho_s, row.rho_d, row.rho_e)
+
+
+def _evaluate(row: RowSpec):
+    """The library's result for ``row``: ``McEstimate`` for ``mc``,
+    ``EsrResult`` for every other method."""
+    cfg, corr = _inputs(row)
+    scheme = row.scheme.upper()
+    if row.method == "exact":
+        return esr_os_exact(cfg) if scheme == "OS" else esr_ss_exact(cfg)
+    if row.method == "highsnr":
+        return esr_os_highsnr(cfg) if scheme == "OS" else esr_ss_highsnr(cfg)
+    if row.method == "asymptotic":
+        return esr_asymptotic(cfg, scheme)
+    if row.method == "quadrature":
+        return quadrature_esr(cfg, scheme)
+    if row.method == "mc":
+        return estimate_esr(cfg, corr, scheme, row.trials, row.seed)
+    raise SelectionModelError(f"unknown method {row.method!r}")
+
+
 def compute_row(row: RowSpec) -> List[str]:
     """Evaluate one RowSpec and render the CSV fields (shared by workers)."""
-    cfg = SystemConfig(
-        K=row.k,
-        L=row.l,
-        M_D=row.m_d,
-        M_E=row.m_e,
-        lambda_D=_db_to_linear(row.lambda_d_db),
-        lambda_E=_db_to_linear(row.lambda_e_db),
-    )
-    scheme_uc = row.scheme.upper()
-    stderr = term_count = max_log_term = trials = seed = None
+    res = _evaluate(row)
     if row.method == "mc":
-        corr = CorrelationConfig(rho_S=row.rho_s, rho_D=row.rho_d, rho_E=row.rho_e)
-        est = estimate_esr(cfg, corr, scheme_uc, row.trials, row.seed)
-        value = est.mean
-        stderr, trials, seed = est.stderr, est.trials, est.seed
+        value, stderr, trials, seed = res.mean, res.stderr, res.trials, res.seed
+        term_count = max_log_term = None
     else:
-        if row.method == "exact":
-            res = esr_os_exact(cfg) if scheme_uc == "OS" else esr_ss_exact(cfg)
-        elif row.method == "highsnr":
-            res = esr_os_highsnr(cfg) if scheme_uc == "OS" else esr_ss_highsnr(cfg)
-        elif row.method == "asymptotic":
-            res = esr_asymptotic(cfg, scheme_uc)
-        elif row.method == "quadrature":
-            res = quadrature_esr(cfg, scheme_uc)
-        else:
-            raise SelectionModelError(f"unknown method {row.method!r}")
-        value = res.value
-        term_count, max_log_term = res.term_count, res.max_log_term
+        value, term_count, max_log_term = res.value, res.term_count, res.max_log_term
+        stderr = trials = seed = None
     return [
         row.scheme,
         row.method,
@@ -144,6 +156,12 @@ def compute_row(row: RowSpec) -> List[str]:
         _fmt(trials),
         _fmt(seed),
     ]
+
+
+def _expand(points: Sequence[RowSpec], schemes: Sequence[str],
+            methods: Sequence[str]) -> List[RowSpec]:
+    """One row per scheme and method at each point, methods innermost."""
+    return [replace(p, scheme=s, method=m) for p in points for s in schemes for m in methods]
 
 
 # ---------------------------------------------------------------------------
@@ -241,16 +259,14 @@ def _config_args(path: str, parser: argparse.ArgumentParser, keys: Set[str]) -> 
 
 
 def _validate_row(row: RowSpec, parser: argparse.ArgumentParser) -> None:
-    for field in ("k", "l", "m_d", "m_e"):
-        if getattr(row, field) < 1:
-            parser.error(f"--{field.replace('_', '')} must be a positive integer")
-    for field in ("rho_s", "rho_d", "rho_e"):
-        if not 0.0 <= getattr(row, field) < 1.0:
-            parser.error(f"--{field.replace('_', '-')} must lie in [0, 1)")
-    if row.trials < 1000:
-        parser.error("--trials must be at least 1000")
-    if not 0 <= row.seed < 2**64:
-        parser.error("--seed must lie in [0, 2**64)")
+    """Refuse ``row`` as a usage error by the library's checks (trials and seed
+    on every row) and by the CLI's own rule: ρ ≠ 0 only with ``mc``."""
+    try:
+        _inputs(row)
+        _checked_trials(row.trials)
+        _checked_seed(row.seed)
+    except DomainError as exc:
+        parser.error(str(exc))
     if row.method != "mc" and (row.rho_s or row.rho_d or row.rho_e):
         parser.error(
             "correlation (ρ ≠ 0) is only supported by --method mc; "
@@ -261,8 +277,6 @@ def _validate_row(row: RowSpec, parser: argparse.ArgumentParser) -> None:
 def _sweep_values(
     var: str, start: float, stop: float, step: float, parser: argparse.ArgumentParser
 ) -> List[float]:
-    if var not in _SWEEP_VARS:
-        parser.error(f"--var must be one of {', '.join(_SWEEP_VARS)}")
     if not all(math.isfinite(v) for v in (start, stop, step)):
         parser.error("--from, --to and --step must be finite")
     if stop < start:
@@ -278,11 +292,8 @@ def _sweep_values(
         for v in values:
             if abs(v - round(v)) > 1e-9:
                 parser.error(f"sweep of {var} requires integer values, got {v}")
+        return [int(round(v)) for v in values]
     return values
-
-
-def _apply_var(row: RowSpec, var: str, value: float) -> RowSpec:
-    return replace(row, **{var: int(round(value)) if var in _INT_VARS else float(value)})
 
 
 def _pool_map(fn: Callable, items: Sequence, jobs: int) -> list:
@@ -341,11 +352,10 @@ def _cmd_rows(args: argparse.Namespace) -> int:
         if None in (args.var, args.start, args.stop, args.step):
             args.parser.error("sweep requires --var, --from, --to, --step")
         values = _sweep_values(args.var, args.start, args.stop, args.step, args.parser)
-        points = [_apply_var(point, args.var, v) for v in values]
+        points = [replace(point, **{args.var: v}) for v in values]
     schemes = ["os", "ss"] if args.scheme == "both" else [args.scheme]
     methods = list(_METHODS) if args.method == "all" else [args.method]
-    rows = [replace(p, scheme=s, method=m) for p in points for s in schemes for m in methods]
-    return _emit(rows, args)
+    return _emit(_expand(points, schemes, methods), args)
 
 
 _FIG5_RHO_SETS = (
@@ -360,97 +370,77 @@ _FIG5_RHO_SETS = (
 
 def figure_preset(name: str, trials: int = 100_000, seed: int = 12345) -> List[RowSpec]:
     """Parameter rows reproducing the reference performance figures."""
-    rows: List[RowSpec] = []
+
+    def point(k, l, m_d, m_e, ld_db, le_db, rho=(0.0, 0.0, 0.0)) -> RowSpec:
+        return RowSpec("os", "exact", k, l, m_d, m_e, ld_db, le_db, *rho, trials, seed)
+
     lam_sweep = [float(v) for v in range(0, 41, 2)]
     if name == "fig2":
-        for k, l in ((1, 1), (1, 3), (3, 1), (3, 3)):
-            for v in lam_sweep:
-                for scheme in ("os", "ss"):
-                    for method in ("exact", "highsnr"):
-                        rows.append(
-                            RowSpec(scheme, method, k, l, 3, 3, v, 9.0,
-                                    0.0, 0.0, 0.0, trials, seed)
-                        )
+        points = [point(k, l, 3, 3, v, 9.0)
+                  for k, l in ((1, 1), (1, 3), (3, 1), (3, 3)) for v in lam_sweep]
+        methods: Tuple[str, ...] = ("exact", "highsnr")
     elif name == "fig3":
-        for kl in (1, 2):
-            for m in (1, 2):
-                for v in lam_sweep:
-                    for scheme in ("os", "ss"):
-                        for method in ("highsnr", "asymptotic"):
-                            rows.append(
-                                RowSpec(scheme, method, kl, kl, m, m, v, 9.0,
-                                        0.0, 0.0, 0.0, trials, seed)
-                            )
+        points = [point(kl, kl, m, m, v, 9.0) for kl in (1, 2) for m in (1, 2) for v in lam_sweep]
+        methods = ("highsnr", "asymptotic")
     elif name == "fig4":
-        for m_e in (1, 2, 3):
-            for m_d in range(1, 7):
-                for scheme in ("os", "ss"):
-                    rows.append(
-                        RowSpec(scheme, "exact", 2, 2, m_d, m_e, 20.0, 0.0,
-                                0.0, 0.0, 0.0, trials, seed)
-                    )
+        points = [point(2, 2, m_d, m_e, 20.0, 0.0) for m_e in (1, 2, 3) for m_d in range(1, 7)]
+        methods = ("exact",)
     elif name == "fig5":
-        for rho_s, rho_d, rho_e in _FIG5_RHO_SETS:
-            for v in [float(x) for x in range(0, 21, 2)]:
-                for scheme in ("os", "ss"):
-                    rows.append(
-                        RowSpec(scheme, "mc", 4, 4, 4, 4, v, 9.0,
-                                rho_s, rho_d, rho_e, trials, seed)
-                    )
+        points = [point(4, 4, 4, 4, float(v), 9.0, rho)
+                  for rho in _FIG5_RHO_SETS for v in range(0, 21, 2)]
+        methods = ("mc",)
     else:
         raise SelectionModelError(f"unknown figure preset {name!r}")
-    return rows
+    return _expand(points, ("os", "ss"), methods)
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
     return _emit(figure_preset(args.name, trials=args.trials, seed=args.seed), args)
 
 
-def _validate_one(task: Tuple[int, int, int, int, float, float, str]) -> Tuple[str, bool]:
-    k, l, m_d, m_e, ld_db, le_db, scheme = task
-    cfg = SystemConfig(k, l, m_d, m_e, _db_to_linear(ld_db), _db_to_linear(le_db))
-    closed = esr_os_exact(cfg) if scheme == "os" else esr_ss_exact(cfg)
-    oracle = quadrature_esr(cfg, scheme.upper())
+def _validate_one(row: RowSpec) -> Tuple[str, bool]:
+    """An ``exact`` row against the quadrature oracle at its point."""
+    closed = _evaluate(row)
+    oracle = _evaluate(replace(row, method="quadrature"))
     err = abs(closed.value - oracle.value)
     tol = max(1e-6 * abs(oracle.value), 1e-8)
     ok = err <= tol
     line = (
-        f"{'PASS' if ok else 'FAIL'} scheme={scheme} K={k} L={l} M_D={m_d} "
-        f"M_E={m_e} lambda_d_db={ld_db:g} lambda_e_db={le_db:g} "
+        f"{'PASS' if ok else 'FAIL'} scheme={row.scheme} K={row.k} L={row.l} M_D={row.m_d} "
+        f"M_E={row.m_e} lambda_d_db={row.lambda_d_db:g} lambda_e_db={row.lambda_e_db:g} "
         f"closed={closed.value:.10g} oracle={oracle.value:.10g} abs_err={err:.3e}"
     )
     return line, ok
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
+    # The Monte Carlo spot check's point, and the template of the grid's rows.
+    spot = RowSpec("os", "mc", 2, 2, 2, 2, 10.0, 0.0, 0.0, 0.0, 0.0, 200_000, 20240501)
     if args.grid == "small":
         kl_vals, m_vals, ld_vals, le_vals = (1, 2), (1, 2), (0.0, 10.0), (0.0, 9.0)
     else:
         kl_vals, m_vals, ld_vals, le_vals = (1, 2, 3), (1, 2, 3), (0.0, 10.0, 20.0), (0.0, 9.0)
-    tasks = [
-        (k, l, m_d, m_e, ld, le, scheme)
+    points = [
+        replace(spot, k=k, l=l, m_d=m_d, m_e=m_e, lambda_d_db=ld, lambda_e_db=le)
         for k in kl_vals
         for l in kl_vals
         for m_d in m_vals
         for m_e in m_vals
         for ld in ld_vals
         for le in le_vals
-        for scheme in ("os", "ss")
     ]
-    results = _pool_map(_validate_one, tasks, args.jobs)
+    results = _pool_map(_validate_one, _expand(points, ("os", "ss"), ("exact",)), args.jobs)
     failures = 0
     for line, ok in results:
         print(line)
         failures += 0 if ok else 1
     # one Monte Carlo concordance spot check ties all three routes together
-    cfg = SystemConfig(2, 2, 2, 2, _db_to_linear(10.0), 1.0)
-    corr = CorrelationConfig()
-    for scheme in ("os", "ss"):
-        closed = esr_os_exact(cfg) if scheme == "os" else esr_ss_exact(cfg)
-        est = estimate_esr(cfg, corr, scheme.upper(), 200_000, 20240501)
+    for row in _expand([spot], ("os", "ss"), ("mc",)):
+        closed = _evaluate(replace(row, method="exact"))
+        est = _evaluate(row)
         ok = abs(est.mean - closed.value) <= 6.0 * est.stderr
         print(
-            f"{'PASS' if ok else 'FAIL'} scheme={scheme} mc_vs_closed "
+            f"{'PASS' if ok else 'FAIL'} scheme={row.scheme} mc_vs_closed "
             f"closed={closed.value:.8g} mc={est.mean:.8g} stderr={est.stderr:.3g}"
         )
         failures += 0 if ok else 1

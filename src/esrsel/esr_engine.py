@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Tuple
 
 import mpmath as mp
 
@@ -69,9 +69,9 @@ class EsrResult:
 
     ``max_log_term`` is the natural log of a bound on the absolute values
     summed on the way to the value — comparing it against log(value) bounds
-    how many digits the signed sums cancelled.  ``stderr`` is populated only by
-    the Monte Carlo estimator.  ``below_zero`` marks high-SNR/asymptotic
-    formula values that dip below zero at low SNR (the exact ESR cannot).
+    how many digits the signed sums cancelled.  ``below_zero`` marks
+    high-SNR/asymptotic formula values that dip below zero at low SNR (the
+    exact ESR cannot).
     """
 
     value: float
@@ -79,7 +79,6 @@ class EsrResult:
     method: str
     term_count: int
     max_log_term: float
-    stderr: Optional[float] = None
     below_zero: bool = False
 
 

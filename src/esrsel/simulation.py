@@ -83,6 +83,17 @@ def _checked_seed(seed) -> int:
     return seed
 
 
+def _checked_trials(trials) -> int:
+    """``trials`` as an int of at least 1000."""
+    try:
+        trials = operator.index(trials)
+    except TypeError:
+        raise DomainError(f"trials must be an integer, got trials={trials!r}") from None
+    if trials < 1000:
+        raise DomainError("need at least 1000 trials for a usable estimate")
+    return trials
+
+
 # ---------------------------------------------------------------------------
 # link-SNR draws
 
@@ -174,12 +185,7 @@ def _mc_mean(
     """Mean and standard error of ``chunk_values(u_d, u_e)``, the per-draw
     values of each chunk of unit draws (see ``_draw_units``), over
     ``trials`` draws."""
-    try:
-        trials = operator.index(trials)
-    except TypeError:
-        raise DomainError(f"trials must be an integer, got trials={trials!r}") from None
-    if trials < 1000:
-        raise DomainError("need at least 1000 trials for a usable estimate")
+    trials = _checked_trials(trials)
     seed = _checked_seed(seed)
     total = 0.0
     total_sq = 0.0

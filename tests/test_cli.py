@@ -111,6 +111,42 @@ class TestCsvContract:
         assert len(content) == 2
 
 
+class TestDispatch:
+    """The benchmark's tracer times each route by wrapping its name in
+    ``esrsel.cli``, so ``compute_row`` must call the route through that
+    module global at call time."""
+
+    ROUTES = {
+        ("os", "exact"): "esr_os_exact",
+        ("ss", "exact"): "esr_ss_exact",
+        ("os", "highsnr"): "esr_os_highsnr",
+        ("ss", "highsnr"): "esr_ss_highsnr",
+        ("os", "asymptotic"): "esr_asymptotic",
+        ("ss", "asymptotic"): "esr_asymptotic",
+        ("os", "quadrature"): "quadrature_esr",
+        ("ss", "quadrature"): "quadrature_esr",
+        ("os", "mc"): "estimate_esr",
+        ("ss", "mc"): "estimate_esr",
+    }
+
+    def test_each_row_calls_its_route_through_the_cli_global(self, monkeypatch):
+        called = []
+
+        def recording(name, fn):
+            def stub(*args, **kwargs):
+                called.append(name)
+                return fn(*args, **kwargs)
+            return stub
+
+        for name in set(self.ROUTES.values()):
+            monkeypatch.setattr(cli, name, recording(name, getattr(cli, name)))
+        for (scheme, method), name in self.ROUTES.items():
+            called.clear()
+            cli.compute_row(cli.RowSpec(scheme, method, 1, 1, 1, 1, 10.0, 0.0,
+                                        0.0, 0.0, 0.0, 1000, 1))
+            assert called == [name], (scheme, method)
+
+
 class TestSweep:
     def test_lambda_sweep_rows_and_monotonicity(self, capsys):
         code, out, _ = run_cli(
@@ -195,15 +231,15 @@ class TestSweep:
         "argv,message",
         [
             *((["--var", var, "--from", "0", "--to", "2", "--step", "1"],
-               f"{flag} must be a positive integer")
-              for var, flag in (("k", "--k"), ("l", "--l"), ("m_d", "--md"), ("m_e", "--me"))),
+               f"{name} must be an integer >= 1, got 0")
+              for var, name in (("k", "K"), ("l", "L"), ("m_d", "M_D"), ("m_e", "M_E"))),
             *((["--var", var, "--from", "0", "--to", "1", "--step", "0.5", "--method", "mc",
-                "--trials", "1000"], f"{flag} must lie in [0, 1)")
-              for var, flag in (("rho_s", "--rho-s"), ("rho_d", "--rho-d"), ("rho_e", "--rho-e"))),
+                "--trials", "1000"], f"{name} must lie in [0, 1), got 1.0")
+              for var, name in (("rho_s", "rho_S"), ("rho_d", "rho_D"), ("rho_e", "rho_E"))),
             (["--var", "rho_d", "--from", "0", "--to", "0.5", "--step", "0.5"],
              "correlation (ρ ≠ 0) is only supported by --method mc"),
             (["--var", "lambda_d_db", "--from", "0", "--to", "1", "--step", "1",
-              "--trials", "999"], "--trials must be at least 1000"),
+              "--trials", "999"], "need at least 1000 trials for a usable estimate"),
         ],
         ids=["k", "l", "m_d", "m_e", "rho_s", "rho_d", "rho_e", "rho_without_mc", "trials"],
     )
@@ -364,7 +400,57 @@ class TestReproducibility:
         assert out1.read_bytes() == out2.read_bytes()
 
 
+def nested_loop_preset(name, trials, seed):
+    """The presets as nested loops, one per figure: the reference for the
+    order of ``figure_preset``'s rows."""
+    RowSpec = cli.RowSpec
+    rows = []
+    lam_sweep = [float(v) for v in range(0, 41, 2)]
+    if name == "fig2":
+        for k, l in ((1, 1), (1, 3), (3, 1), (3, 3)):
+            for v in lam_sweep:
+                for scheme in ("os", "ss"):
+                    for method in ("exact", "highsnr"):
+                        rows.append(
+                            RowSpec(scheme, method, k, l, 3, 3, v, 9.0,
+                                    0.0, 0.0, 0.0, trials, seed)
+                        )
+    elif name == "fig3":
+        for kl in (1, 2):
+            for m in (1, 2):
+                for v in lam_sweep:
+                    for scheme in ("os", "ss"):
+                        for method in ("highsnr", "asymptotic"):
+                            rows.append(
+                                RowSpec(scheme, method, kl, kl, m, m, v, 9.0,
+                                        0.0, 0.0, 0.0, trials, seed)
+                            )
+    elif name == "fig4":
+        for m_e in (1, 2, 3):
+            for m_d in range(1, 7):
+                for scheme in ("os", "ss"):
+                    rows.append(
+                        RowSpec(scheme, "exact", 2, 2, m_d, m_e, 20.0, 0.0,
+                                0.0, 0.0, 0.0, trials, seed)
+                    )
+    elif name == "fig5":
+        rho_sets = ((0.0, 0.0, 0.0), (0.9, 0.0, 0.0), (0.0, 0.9, 0.0),
+                    (0.9, 0.9, 0.0), (0.0, 0.0, 0.9), (0.9, 0.0, 0.9))
+        for rho_s, rho_d, rho_e in rho_sets:
+            for v in [float(x) for x in range(0, 21, 2)]:
+                for scheme in ("os", "ss"):
+                    rows.append(
+                        RowSpec(scheme, "mc", 4, 4, 4, 4, v, 9.0,
+                                rho_s, rho_d, rho_e, trials, seed)
+                    )
+    return rows
+
+
 class TestFigurePresets:
+    @pytest.mark.parametrize("name", ["fig2", "fig3", "fig4", "fig5"])
+    def test_row_order_matches_the_nested_loops(self, name):
+        assert figure_preset(name, 100000, 1) == nested_loop_preset(name, 100000, 1)
+
     def test_row_counts(self):
         assert len(figure_preset("fig2", 100000, 1)) == 336
         assert len(figure_preset("fig3", 100000, 1)) == 336
@@ -404,7 +490,7 @@ class TestFigurePresets:
         with pytest.raises(SystemExit) as e:
             main(["figure", "fig5", "--trials", "999"])
         assert e.value.code == 2
-        assert "--trials must be at least 1000" in capsys.readouterr().err
+        assert "need at least 1000 trials for a usable estimate" in capsys.readouterr().err
         assert rows_run == []
 
     @pytest.mark.parametrize(
@@ -547,9 +633,33 @@ class TestExitCodes:
             env=env,
         )
         assert proc.returncode == 2
-        assert "--seed must lie in [0, 2**64)" in proc.stderr
+        assert f"seed must lie in [0, 2**64), got {seed}" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["esr", "--lambda-d-db", "1e6"],
+            ["esr", "--lambda-d-db", "-1e6"],
+            ["esr", "--lambda-e-db", "nan"],
+            ["esr", "--lambda-e-db", "inf"],
+            ["sweep", "--var", "lambda_d_db", "--from", "0", "--to", "4e3", "--step", "1e3"],
+        ],
+        ids=["overflow", "underflow", "nan", "inf", "swept-overflow"],
+    )
+    def test_lambda_the_library_refuses_is_a_usage_error(self, rows_run, capsys, argv):
+        # 10^(dB/10) must be positive and finite: 1e6 dB overflows, -1e6 dB
+        # underflows to 0, and the sweep's last value (4000 dB) overflows.
+        proc = run_module(argv)
+        assert proc.returncode == 2
+        assert "must be positive and finite" in proc.stderr.splitlines()[-1]
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        assert e.value.code == 2
+        assert rows_run == []
 
     @pytest.mark.parametrize("target", ["missing/x.csv", "."], ids=["missing-dir", "directory"])
     def test_unwritable_out_is_a_usage_error(self, tmp_path, target):
