@@ -3,7 +3,7 @@ frequency-selective fading: exact/high-SNR/asymptotic closed forms, an
 independent quadrature oracle, and a Monte Carlo simulator with optional
 transmitter/path correlation."""
 
-from .channel_model import CorrelationConfig, GammaSnrDist, SystemConfig, secrecy_rate, snr_cdf, snr_pdf
+from .channel_model import CorrelationConfig, SystemConfig
 from .errors import (
     CancellationError,
     ComplexityBudgetError,

@@ -1,4 +1,4 @@
-"""System model: configuration, per-link SNR distributions, secrecy rate.
+"""System model: the network configuration and its correlation settings.
 
 A network of K transmitters, L legitimate destinations and one eavesdropper
 communicates over frequency-selective block fading. Single-carrier cyclic-
@@ -9,9 +9,10 @@ per-path SNRs, so
     γ_E^{(k)}   ~ Gamma(shape=M_E, scale=λ_E),
 
 with integer shapes (the multipath counts) and linear-scale average per-path
-SNRs λ.  All formulas downstream consume exactly these two distributions plus
-the counts (K, L), which is why :class:`SystemConfig` is the complete
-parameterization.
+SNRs λ.  All formulas downstream consume exactly these two laws plus the
+counts (K, L), which is why :class:`SystemConfig` is the complete
+parameterization.  ``simulation`` states the laws and the secrecy rate
+[log2((1+γ_D)/(1+γ_E))]^+ in vectorised form, where they run.
 """
 
 from __future__ import annotations
@@ -23,14 +24,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 
-__all__ = [
-    "SystemConfig",
-    "GammaSnrDist",
-    "CorrelationConfig",
-    "snr_pdf",
-    "snr_cdf",
-    "secrecy_rate",
-]
+__all__ = ["SystemConfig", "CorrelationConfig"]
 
 
 def _check_count(name: str, v) -> None:
@@ -71,22 +65,6 @@ class SystemConfig:
 
 
 @dataclass(frozen=True)
-class GammaSnrDist:
-    """Gamma SNR law with integer shape (multipath count) and linear scale."""
-
-    shape: int
-    scale: float
-
-    def __post_init__(self) -> None:
-        _check_count("shape", self.shape)
-        _check_scale("scale", self.scale)
-
-    @property
-    def mean(self) -> float:
-        return self.shape * self.scale
-
-
-@dataclass(frozen=True)
 class CorrelationConfig:
     """Exponential correlation coefficients: transmitters, destination paths,
     eavesdropper paths.  0 means i.i.d. in that dimension."""
@@ -100,37 +78,3 @@ class CorrelationConfig:
             v = getattr(self, name)
             if not (isinstance(v, numbers.Real) and 0.0 <= v < 1.0):
                 raise DomainError(f"{name} must lie in [0, 1), got {v!r}")
-
-
-def snr_pdf(dist: GammaSnrDist, x: float) -> float:
-    """Density x^{M-1} e^{-x/λ} / (λ^M (M-1)!) at x ≥ 0."""
-    if x < 0.0:
-        raise DomainError(f"SNR density needs x >= 0, got {x}")
-    m, lam = dist.shape, dist.scale
-    if x == 0.0:
-        return 1.0 / lam if m == 1 else 0.0
-    log_pdf = (m - 1) * math.log(x) - x / lam - m * math.log(lam) - math.lgamma(m)
-    return math.exp(log_pdf)
-
-
-def snr_cdf(dist: GammaSnrDist, x: float) -> float:
-    """CDF 1 - e^{-x/λ} Σ_{m=0}^{M-1} (x/λ)^m / m!  (finite-sum form)."""
-    if x < 0.0:
-        raise DomainError(f"SNR CDF needs x >= 0, got {x}")
-    if x == 0.0:
-        return 0.0
-    z = x / dist.scale
-    log_z = math.log(z)
-    logs = [m * log_z - math.lgamma(m + 1) for m in range(dist.shape)]
-    peak = max(logs)
-    acc = sum(math.exp(v - peak) for v in logs)
-    return -math.expm1(-z + peak + math.log(acc))
-
-
-def secrecy_rate(gamma_D: float, gamma_E: float) -> float:
-    """Instantaneous secrecy rate [log2((1+γ_D)/(1+γ_E))]^+ in bpcu."""
-    if gamma_D < 0.0 or gamma_E < 0.0:
-        raise DomainError("SNRs must be nonnegative")
-    if gamma_D <= gamma_E:
-        return 0.0
-    return math.log2((1.0 + gamma_D) / (1.0 + gamma_E))

@@ -40,7 +40,7 @@ import mpmath as mp
 
 from .channel_model import SystemConfig
 from .errors import CancellationError, ComplexityBudgetError, DomainError
-from .partial_fractions import j0_exact_mp, j0_highsnr_mp, required_dps
+from .partial_fractions import _MAX_DPS, j0_exact_mp, j0_highsnr_mp, required_dps
 
 # Not called here; imported only so that bench/tracer.py's BOUNDARIES resolve.
 from .partial_fractions import _GammaTable, j1_highsnr_mp, pf_coefficients, single_pole_integral_mp  # noqa: F401
@@ -205,9 +205,9 @@ def _with_retry(
     evaluator: Callable[[], Tuple[mp.mpf, int, float]], dps0: int
 ) -> Tuple[float, int, float]:
     """Run ``evaluator`` under increasing precision until the cancellation
-    headroom is at least 12 digits; raise CancellationError when the 300-digit
-    cap cannot provide it."""
-    dps = min(300, dps0)
+    headroom is at least 12 digits; raise CancellationError when ``_MAX_DPS``
+    digits cannot provide it."""
+    dps = min(_MAX_DPS, dps0)
     ln_total = -math.inf
     peak = -math.inf
     for _ in range(3):
@@ -220,9 +220,9 @@ def _with_retry(
         lost = (peak - ln_total) / _LN10
         if lost < dps - 12:
             return value, n_terms, peak
-        if dps >= 300:
+        if dps >= _MAX_DPS:
             break
-        dps = min(300, int(dps * 1.5) + 10)
+        dps = min(_MAX_DPS, int(dps * 1.5) + 10)
     raise CancellationError(peak, ln_total)
 
 
@@ -256,7 +256,7 @@ def _dps(cfg: SystemConfig, exact: bool) -> int:
         if exact:
             beta = sum(range(1, cfg.L + 1)) * k / cfg.lambda_D  # upper bound on l̃/λ_D
             zs = [beta * (1 + c) for c, _ in poles]
-        worst = max(worst, required_dps(poles, zs=zs, nu_max=nu_max, cap=10**9))
+        worst = max(worst, required_dps(poles, zs=zs, nu_max=nu_max))
     if not exact:
         return int(math.ceil(worst))
     # Weight-table growth for λ_D < 1 and the e^{l̃/λ_D} prefactors.
@@ -266,13 +266,19 @@ def _dps(cfg: SystemConfig, exact: bool) -> int:
     return int(math.ceil(worst + extra))
 
 
-def _work(cfg: SystemConfig, exact: bool) -> int:
-    """Size proxy the budget guard compares against its budget.
+def _work(cfg: SystemConfig, exact: bool, budget: int) -> int:
+    """Size proxy the budget guard compares against ``budget``; once over
+    it, a lower bound on it.
 
     It counts the (pole set, ν) kernel terms of the per-pole-set assembly
     that ``_terms`` replaced, which over-estimates the factorised cost, so
-    the guard refuses no less than it did.  Not yet calibrated to seconds.
+    the guard refuses no less than it did.  Each composition adds at least
+    one term, so C(K+L, L) − 1 bounds it before the walk, and the walk
+    stops once over ``budget``.  Not yet calibrated to seconds.
     """
+    compositions = math.comb(cfg.K + cfg.L, cfg.L) - 1
+    if compositions > budget:
+        return compositions
     work = 0
     for _, _, active in _pole_groups(cfg.K, cfg.L):
         n_count = 1
@@ -281,6 +287,8 @@ def _work(cfg: SystemConfig, exact: bool) -> int:
         if exact:
             n_count *= sum(c * l * (cfg.M_D - 1) for l, c in active) + 1
         work += n_count
+        if work > budget:
+            break
     return work
 
 
@@ -347,7 +355,7 @@ def _evaluate(cfg: SystemConfig, scheme: str, form: str, budget: int) -> EsrResu
     """One closed-form ESR, with SS evaluated as OS(1, K·L)."""
     os_cfg = cfg if scheme == "OS" else _as_single_transmitter(cfg)
     exact = form == "exact"
-    work = _work(os_cfg, exact)
+    work = _work(os_cfg, exact, budget)
     if work > budget:
         raise ComplexityBudgetError(os_cfg.K, os_cfg.L, os_cfg.M_D, work, budget)
     value, n_terms, peak = _with_retry(lambda: _terms(os_cfg, form), _dps(os_cfg, exact))

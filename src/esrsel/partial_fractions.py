@@ -58,6 +58,7 @@ _LN2 = math.log(2.0)
 _LN10 = math.log(10.0)
 _DPS_BASE = 25  # digits of every working precision before its estimated losses
 _DPS_MARGIN = 10  # digits kept on top of the estimated losses
+_MAX_DPS = 300  # no evaluation runs finer than this
 
 # One numerator factor per pole: row n maps d to the coefficient of x^d in
 # P_n, and the factor of pole c is Σ_n P_n(x)·(x + c)^{n_top - n}.
@@ -114,7 +115,6 @@ def required_dps(
     poles: Sequence[Tuple[float, int]],
     zs: Iterable[float] = (),
     nu_max: int = 0,
-    cap: int = 300,
 ) -> int:
     """Working precision estimate for one J/term-family evaluation."""
     digits = 0.0
@@ -127,7 +127,7 @@ def required_dps(
     depth = sum(T for _, T in poles)
     descent = max((_descent_digits(z, depth) for z in zs), default=0.0)
     extra = 0.35 * max(0, nu_max)
-    return min(cap, int(math.ceil(_DPS_BASE + digits + descent + extra + _DPS_MARGIN)))
+    return min(_MAX_DPS, int(math.ceil(_DPS_BASE + digits + descent + extra + _DPS_MARGIN)))
 
 
 # ---------------------------------------------------------------------------

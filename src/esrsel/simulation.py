@@ -31,6 +31,7 @@ are assembled from survival functions (gammaincc / expm1 / log1p) so that
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import Callable, Tuple
@@ -369,8 +370,15 @@ def _quadrature(
     integrates over u = arg at fixed x (the destination survival then varies
     on its own λ_D scale regardless of x), clipped where either the
     destination survival or the eavesdropper density tail drops below 1e-18
-    relative mass.
+    relative mass.  Like QUADPACK, it refuses tolerances that are negative,
+    not finite, or both zero, and also ones that are not real numbers.
     """
+    tols = (epsabs, epsrel)
+    if not all(isinstance(t, numbers.Real) and 0.0 <= t < math.inf for t in tols) or not any(tols):
+        raise DomainError(
+            f"need finite tolerances >= 0, one of them positive; got epsabs={epsabs!r}, "
+            f"epsrel={epsrel!r}"
+        )
     scheme = _norm_scheme(scheme)
     k_eff, l_eff = (cfg.K, cfg.L) if scheme == "OS" else (1, cfg.K * cfg.L)
     lam_d, lam_e = cfg.lambda_D, cfg.lambda_E

@@ -2,6 +2,7 @@
 config-file merging, and exit codes."""
 
 import csv
+import importlib
 import io
 import os
 import shutil
@@ -718,6 +719,17 @@ class TestExitCodes:
             main(["esr", "--method", "asymptotic", "--config", str(cfgfile)])
         assert e.value.code == 2
         assert "unknown key 'jobs'" in capsys.readouterr().err
+
+    def test_console_script_entry_point_runs(self, capsys):
+        # The [project.scripts] wiring, checked without an installed script.
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["esrsel"]
+        assert target == "esrsel.cli:main"
+        module, _, attr = target.partition(":")
+        entry = getattr(importlib.import_module(module), attr)
+        assert entry(["esr", "--scheme", "os", "--method", "asymptotic"]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == CSV_HEADER
 
     @pytest.mark.skipif(shutil.which("esrsel") is None, reason="console script not on PATH")
     def test_console_script_wired(self):

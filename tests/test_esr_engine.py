@@ -18,11 +18,13 @@ import mpmath as mp
 import pytest
 
 import esrsel
+from esrsel import esr_engine
 from esrsel.channel_model import SystemConfig
 from esrsel.errors import CancellationError, ComplexityBudgetError
 from esrsel.esr_engine import (
     _as_single_transmitter,
     _dps,
+    _pole_groups,
     _terms,
     _with_retry,
     asymptote_line,
@@ -351,6 +353,45 @@ class TestGuards:
             esr_os_exact(SystemConfig(3, 3, 3, 3, 10.0, 1.0), budget=1000)
         with pytest.raises(ComplexityBudgetError):
             esr_ss_exact(SystemConfig(3, 3, 3, 3, 10.0, 1.0), budget=1000)
+
+    @staticmethod
+    def full_walk_work(K, L, M_D, exact):
+        """The guard's work count, summed over every composition."""
+        work = 0
+        for _, _, active in _pole_groups(K, L):
+            nus = [c * l * (M_D - 1) for l, c in active]
+            work += math.prod(nu + 1 for nu in nus) * (sum(nus) + 1 if exact else 1)
+        return work
+
+    def test_budget_decisions_match_the_full_walk(self, monkeypatch):
+        # Only the guard runs: an accepted configuration stops at a stub.
+        monkeypatch.setattr(esr_engine, "_dps", lambda cfg, exact: 30)
+        monkeypatch.setattr(esr_engine, "_with_retry", lambda evaluator, dps: (0.0, 0, -math.inf))
+        for K, L, M_D in itertools.product(range(1, 7), range(1, 7), range(1, 4)):
+            cfg = SystemConfig(K, L, M_D, 2, 10.0, 1.0)
+            for exact, route in ((True, esr_os_exact), (False, esr_os_highsnr)):
+                work = self.full_walk_work(K, L, M_D, exact)
+                for budget in (10, 10**3, 10**5):
+                    try:
+                        route(cfg, budget=budget)
+                        refused = False
+                    except ComplexityBudgetError as err:
+                        refused = True
+                        assert budget < err.count <= work
+                    assert refused == (work > budget), (K, L, M_D, exact, budget)
+
+    @pytest.mark.parametrize("shape", [(16, 16, 1, 1), (12, 12, 2, 2)])
+    def test_refusal_does_not_walk_every_composition(self, monkeypatch, shape):
+        # The full walks are 6.0e8 and 2.7e6 compositions long.
+        def counted(K, L):
+            for n, group in enumerate(_pole_groups(K, L)):
+                if n >= 10**5:
+                    raise AssertionError("the budget guard walked 1e5 compositions")
+                yield group
+
+        monkeypatch.setattr(esr_engine, "_pole_groups", counted)
+        with pytest.raises(ComplexityBudgetError, match="is at least"):
+            esr_os_exact(SystemConfig(*shape, 10.0, 1.0))
 
     def test_cancellation_guard_trips_on_hopeless_sum(self):
         # A synthetic evaluator whose sum is 660 log10-digits below its

@@ -383,6 +383,22 @@ class TestQuadratureEsr:
         tight = quadrature_esr(cfg, "OS", epsabs=5e-13, epsrel=5e-10).value
         assert abs(base - tight) < 1e-8
 
+    BAD_TOLERANCES = (math.nan, math.inf, -math.inf, -1.0, "1e-9")
+
+    @pytest.mark.parametrize(
+        "epsabs,epsrel",
+        [(t, 1e-9) for t in BAD_TOLERANCES] + [(1e-12, t) for t in BAD_TOLERANCES] + [(0.0, 0.0)],
+    )
+    def test_unmeetable_tolerances_rejected(self, epsabs, epsrel):
+        # QUADPACK's qagse refuses the same inputs (ier = 6).
+        cfg = SystemConfig(2, 2, 2, 2, 10.0, 1.0)
+        with pytest.raises(DomainError, match="tolerances"):
+            quadrature_esr(cfg, "OS", epsabs=epsabs, epsrel=epsrel)
+
+    def test_one_zero_tolerance_accepted(self):
+        cfg = SystemConfig(2, 2, 2, 2, 10.0, 1.0)
+        assert rel_err(quadrature_esr(cfg, "OS", epsabs=0.0).value, X2) < 1e-9
+
     def test_vanishing_destination_snr(self):
         cfg = SystemConfig(1, 1, 1, 1, 0.01, 1.0)
         val = quadrature_esr(cfg, "OS").value
