@@ -7,13 +7,19 @@ is γ = Σ_i μ_i·P_i, where μ are the eigenvalues of the path covariance
 [R_S^½ W R_path W^H R_S^½]_kk for white W, and W·U has the law of W for the
 real orthogonal U that diagonalises R_path.  Without transmitter correlation
 (ρ_S = 0, which includes i.i.d.) the P are independent Exp(1) draws.  With
-it, the real and imaginary tap parts are drawn as normals, coloured across
-transmitters by the Cholesky factor of R_S, and P = ½|h|².  No complex tap
-and no Kronecker factor is formed.  Substreams are counter-based: chunk i
-uses a Philox generator keyed by the two-word key (seed, i) with a fixed
-chunk size, so estimates are bit-reproducible and independent of any
-parallel scheduling, and no two (seed, chunk) pairs share a stream (Salmon
-et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11).
+it, the taps of each path follow h_k = ρ_S·h_{k−1} + s·w_k across the
+transmitters, s² = 1 − ρ_S², and only their power is carried: w_k turned by
+the phase of h_{k−1} is still CN(0, 1) and independent of the past, so
+P_1 ~ Exp(1) and P_k = (ρ_S√P_{k−1} + s·a_k)² + s²·b_k² with a, b ~ N(0, ½).
+Where a link type's paths are i.i.d. (ρ_D = 0, or ρ_E = 0), CN(0, I_M) is
+unitarily invariant, so the M paths of a link collapse into one power:
+S_1 ~ Gamma(M) and S_k = (ρ_S√S_{k−1} + s·a_k)² + s²·b_k² + s²·G_k with
+G_k ~ Gamma(M − 1), and γ = λ·S.  No complex tap and no Kronecker factor is
+formed.  Substreams are counter-based: chunk i uses a Philox generator keyed
+by the two-word key (seed, i) with a fixed chunk size, so estimates are
+bit-reproducible and independent of any parallel scheduling, and no two
+(seed, chunk) pairs share a stream (Salmon et al., "Parallel random
+numbers: as easy as 1, 2, 3", SC'11).
 
 The quadrature path evaluates C = (1/ln 2) ∫_1^∞ (1 - F(x))/x dx directly
 from the model CDFs with nested adaptive Gauss–Kronrod integration — no
@@ -34,7 +40,7 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass
-from typing import Callable, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 from scipy import special as sp
@@ -101,12 +107,17 @@ def _checked_trials(trials) -> int:
 
 @dataclass(frozen=True)
 class _LinkLaw:
-    """Link SNRs of one correlation configuration.  Each link SNR is
-    γ = Σ_i μ_i·P_i, with μ the eigenvalues of the path covariance
-    λ·Toeplitz(ρ) and P unit path powers, whose taps are correlated across
-    transmitters by ``rho_S``."""
+    """Link SNRs of one correlation configuration, γ = Σ_i μ_i·S_i.
+
+    ``groups`` None: the S are the M unit path powers, Exp(1) each, and μ
+    the eigenvalues of the path covariance λ·Toeplitz(ρ).  Otherwise
+    ``groups`` = (g_D, g_E) paths per group: each S is the power of g
+    i.i.d. unit paths, followed across transmitters with correlation
+    ``rho_S`` by ``_powers``; μ is λ once when g = M, and the eigenvalues
+    when g = 1."""
 
     rho_S: float
+    groups: Optional[Tuple[int, int]]
     mu_d: np.ndarray
     mu_e: np.ndarray
 
@@ -117,39 +128,88 @@ def _toeplitz(size: int, rho: float, scale: float) -> np.ndarray:
     return scale * rho ** np.abs(idx[:, None] - idx[None, :])
 
 
-def _link_law(cfg: SystemConfig, corr: CorrelationConfig) -> _LinkLaw:
-    mu_d = np.linalg.eigvalsh(_toeplitz(cfg.M_D, corr.rho_D, cfg.lambda_D))
-    mu_e = np.linalg.eigvalsh(_toeplitz(cfg.M_E, corr.rho_E, cfg.lambda_E))
-    return _LinkLaw(corr.rho_S, mu_d, mu_e)
+def _draw_groups(cfg: SystemConfig, *corrs: CorrelationConfig) -> Optional[Tuple[int, int]]:
+    """How the unit draws read by every one of ``corrs`` are grouped: None
+    (Exp(1) path powers) when none has transmitter correlation, else the
+    paths per group (g_D, g_E), all M of a link type whose paths are i.i.d.
+    in every one of ``corrs`` and 1 otherwise.  The scheme plays no part, so
+    OS and SS read the same draws."""
+    if all(c.rho_S == 0.0 for c in corrs):
+        return None
+    return (
+        cfg.M_D if all(c.rho_D == 0.0 for c in corrs) else 1,
+        cfg.M_E if all(c.rho_E == 0.0 for c in corrs) else 1,
+    )
+
+
+def _link_law(
+    cfg: SystemConfig, corr: CorrelationConfig, groups: Optional[Tuple[int, int]]
+) -> _LinkLaw:
+    """The law of ``corr``'s link SNRs read from draws grouped by ``groups``."""
+    g_d, g_e = groups or (1, 1)
+    mu_d = np.array([cfg.lambda_D]) if g_d > 1 else np.linalg.eigvalsh(
+        _toeplitz(cfg.M_D, corr.rho_D, cfg.lambda_D))
+    mu_e = np.array([cfg.lambda_E]) if g_e > 1 else np.linalg.eigvalsh(
+        _toeplitz(cfg.M_E, corr.rho_E, cfg.lambda_E))
+    return _LinkLaw(corr.rho_S, groups, mu_d, mu_e)
+
+
+def _innovations(
+    gen: np.random.Generator, k_count: int, shape: Tuple[int, ...], g: int
+) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """Unit draws of one link type for ``_powers``, groups of ``g`` paths
+    shaped ``shape``: the first transmitter's powers, Gamma(g); for each
+    later transmitter, the real and imaginary parts (a, b) ~ N(0, ½) of its
+    innovation along the group's tap vector, on an axis of 2; and the
+    Gamma(g − 1) power of the innovation's other g − 1 dimensions, None when
+    g = 1."""
+    first = gen.standard_gamma(g, shape)
+    parts = gen.normal(0.0, math.sqrt(0.5), (k_count - 1, 2) + shape)
+    rest = gen.standard_gamma(g - 1, (k_count - 1,) + shape) if g > 1 else None
+    return first, parts, rest
 
 
 def _draw_units(
-    gen: np.random.Generator, cfg: SystemConfig, n: int, normals: bool
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Unit draws for the destination and eavesdropper links, shaped
-    (K, n, L, M_D) and (K, n, M_E): Exp(1) path powers, or, when
-    ``normals``, the real and imaginary tap parts on a leading axis of 2."""
-    lead = (2, cfg.K, n) if normals else (cfg.K, n)
-    draw = gen.standard_normal if normals else gen.standard_exponential
-    return draw(lead + (cfg.L, cfg.M_D)), draw(lead + (cfg.M_E,))
+    gen: np.random.Generator, cfg: SystemConfig, n: int, groups: Optional[Tuple[int, int]]
+) -> Tuple:
+    """Unit draws for the destination and eavesdropper links: Exp(1) path
+    powers shaped (K, n, L, M_D) and (K, n, M_E) when ``groups`` is None,
+    else the ``_innovations`` of groups shaped (n, L, M_D/g_D) and
+    (n, M_E/g_E)."""
+    if groups is None:
+        return (gen.standard_exponential((cfg.K, n, cfg.L, cfg.M_D)),
+                gen.standard_exponential((cfg.K, n, cfg.M_E)))
+    g_d, g_e = groups
+    return (_innovations(gen, cfg.K, (n, cfg.L, cfg.M_D // g_d), g_d),
+            _innovations(gen, cfg.K, (n, cfg.M_E // g_e), g_e))
 
 
-def _colour(x: np.ndarray, rho: float) -> np.ndarray:
-    """Unit normals with the transmitter axis at 1, correlated to ρ^|k−k'|
-    by the recursion y_k = ρ·y_{k−1} + √(1−ρ²)·x_k, the Cholesky factor of
-    the Toeplitz matrix.  Elementwise, so no BLAS threads start."""
-    y = x * math.sqrt(1.0 - rho * rho)
-    y[:, 0] = x[:, 0]
-    for k in range(1, x.shape[1]):
-        y[:, k] += rho * y[:, k - 1]
-    return y
+def _powers(units: Tuple, rho: float) -> np.ndarray:
+    """Group powers S[k, ...] over the transmitters from one link type's
+    ``_innovations``: S_1 = first and S_k = (ρ√S_{k−1} + s·a_k)² +
+    s²·(b_k² + G_k), s² = 1 − ρ².  Elementwise, so no BLAS threads start."""
+    first, parts, rest = units
+    s2 = 1.0 - rho * rho
+    lead = parts[:, 0] * math.sqrt(s2)
+    tail = parts[:, 1] * parts[:, 1]
+    if rest is not None:
+        tail += rest
+    tail *= s2
+    out = np.empty((len(parts) + 1,) + first.shape)
+    out[0] = first
+    for k in range(1, len(out)):
+        x = np.sqrt(out[k - 1])
+        x *= rho
+        x += lead[k - 1]
+        np.multiply(x, x, out=out[k])
+        out[k] += tail[k - 1]
+    return out
 
 
-def _snrs(law: _LinkLaw, u_d: np.ndarray, u_e: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+def _snrs(law: _LinkLaw, u_d, u_e) -> Tuple[np.ndarray, np.ndarray]:
     """(γ_D[n, k, l], γ_E[n, k]) from one chunk of unit draws."""
-    if u_e.ndim == 4:  # tap parts: colour across transmitters, then ½|h|²
-        u_d, u_e = (_colour(u, law.rho_S) for u in (u_d, u_e))
-        u_d, u_e = (0.5 * (u[0] ** 2 + u[1] ** 2) for u in (u_d, u_e))
+    if law.groups is not None:
+        u_d, u_e = (_powers(u, law.rho_S) for u in (u_d, u_e))
     return np.einsum("knlm,m->nkl", u_d, law.mu_d), np.einsum("knm,m->nk", u_e, law.mu_e)
 
 
@@ -180,12 +240,12 @@ def _mc_mean(
     cfg: SystemConfig,
     trials: int,
     seed: int,
-    normals: bool,
-    chunk_values: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    groups: Optional[Tuple[int, int]],
+    chunk_values: Callable[..., np.ndarray],
 ) -> McEstimate:
     """Mean and standard error of ``chunk_values(u_d, u_e)``, the per-draw
-    values of each chunk of unit draws (see ``_draw_units``), over
-    ``trials`` draws."""
+    values of each chunk of unit draws grouped by ``groups`` (see
+    ``_draw_units``), over ``trials`` draws."""
     trials = _checked_trials(trials)
     seed = _checked_seed(seed)
     total = 0.0
@@ -194,7 +254,7 @@ def _mc_mean(
     chunk_index = 0
     while done < trials:
         n = min(CHUNK_SIZE, trials - done)
-        u_d, u_e = _draw_units(_substream(seed, chunk_index), cfg, n, normals)
+        u_d, u_e = _draw_units(_substream(seed, chunk_index), cfg, n, groups)
         values = chunk_values(u_d, u_e)
         total += float(values.sum())
         total_sq += float((values * values).sum())
@@ -214,9 +274,10 @@ def estimate_esr(
 ) -> McEstimate:
     """ESR estimate: mean of [log2 Γ_S]^+ over ``trials`` channel draws."""
     s = _norm_scheme(scheme)
-    law = _link_law(cfg, corr)
+    groups = _draw_groups(cfg, corr)
+    law = _link_law(cfg, corr, groups)
     return _mc_mean(
-        cfg, trials, seed, law.rho_S > 0.0,
+        cfg, trials, seed, groups,
         lambda u_d, u_e: _chunk_rates(*_snrs(law, u_d, u_e), s),
     )
 
@@ -231,20 +292,22 @@ def paired_esr_difference(
 ) -> McEstimate:
     """ESR(corr_a) − ESR(corr_b) with common random numbers per draw.
 
-    Both sides compute their link SNRs from the same unit draws: complex
-    normal taps when either side has transmitter correlation, unit path
-    powers otherwise.  So the correlation-induced gap resolves at far fewer
-    trials than two independent estimates would need.
+    Both sides compute their link SNRs from the same unit draws: the
+    transmitter recursion's innovations when either side has transmitter
+    correlation, with a link type's paths collapsed into one group only
+    when both sides have ρ = 0 for it, and Exp(1) path powers otherwise.
+    So the correlation-induced gap resolves at far fewer trials than two
+    independent estimates would need.
     """
     s = _norm_scheme(scheme)
-    law_a, law_b = _link_law(cfg, corr_a), _link_law(cfg, corr_b)
+    groups = _draw_groups(cfg, corr_a, corr_b)
+    law_a, law_b = _link_law(cfg, corr_a, groups), _link_law(cfg, corr_b, groups)
 
-    def diff(u_d: np.ndarray, u_e: np.ndarray) -> np.ndarray:
+    def diff(u_d, u_e) -> np.ndarray:
         rates_a = _chunk_rates(*_snrs(law_a, u_d, u_e), s)
         return rates_a - _chunk_rates(*_snrs(law_b, u_d, u_e), s)
 
-    normals = law_a.rho_S > 0.0 or law_b.rho_S > 0.0
-    return _mc_mean(cfg, trials, seed, normals, diff)
+    return _mc_mean(cfg, trials, seed, groups, diff)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 The tap-level channel model in ``tap_reference`` checks the link-SNR
 sampler: its draws recover the tap covariances, its selection rules agree
-with hand examples, and its ESR agrees with ``estimate_esr``."""
+with hand examples, and its ESR agrees with ``estimate_esr``.  Explicit
+complex taps check the transmitter recursion's power steps."""
 
 import itertools
 import math
@@ -20,8 +21,13 @@ from esrsel.simulation import (
     _W21,
     _X21,
     _chunk_rates,
+    _draw_groups,
     _gk21,
+    _link_law,
+    _mc_mean,
+    _powers,
     _quadrature,
+    _snrs,
     _substream,
     estimate_esr,
     paired_esr_difference,
@@ -122,12 +128,25 @@ def hand_realization():
     return ChannelRealization(h_D=h_d, h_E=h_e)
 
 
+def tap_esr_both(cfg, corr, n, seed, chunk=10_000):
+    """{scheme: (mean, standard error)} of [log2 Γ]^+ over ``n`` tap-level
+    draws, both schemes reading the same draws, drawn ``chunk`` at a time."""
+    gen = np.random.default_rng(seed)
+    rates = {"OS": [], "SS": []}
+    for start in range(0, n, chunk):
+        r = draw_channels(cfg, corr, min(chunk, n - start), gen)
+        for scheme, select in (("OS", select_os), ("SS", select_ss)):
+            rates[scheme].append(np.maximum(np.log2(select(r)[2]), 0.0))
+    out = {}
+    for scheme, parts in rates.items():
+        x = np.concatenate(parts)
+        out[scheme] = (x.mean(), x.std(ddof=1) / math.sqrt(n))
+    return out
+
+
 def tap_esr(cfg, corr, scheme, n, seed):
     """Mean and standard error of [log2 Γ]^+ over ``n`` tap-level draws."""
-    r = draw_channels(cfg, corr, n, np.random.default_rng(seed))
-    ratio = (select_os if scheme == "OS" else select_ss)(r)[2]
-    rates = np.maximum(np.log2(ratio), 0.0)
-    return rates.mean(), rates.std(ddof=1) / math.sqrt(n)
+    return tap_esr_both(cfg, corr, n, seed, chunk=n)[scheme]
 
 
 class TestSelection:
@@ -170,6 +189,182 @@ class TestSelection:
             if abs(z) > 5.0:
                 failures.append((corr, taps, law.mean, z))
         assert not failures, failures
+
+
+FIG5_CFG = SystemConfig(4, 4, 4, 4, 100.0, 10.0 ** 0.9)  # fig5's shape at 20/9 dB
+# fig5's transmitter-correlated (ρ_S, ρ_D, ρ_E) sets
+FIG5_TX_SETS = [CorrelationConfig(0.9, 0.0, 0.0), CorrelationConfig(0.9, 0.9, 0.0),
+                CorrelationConfig(0.9, 0.0, 0.9)]
+
+
+class TestFig5TransmitterRows:
+    def test_tap_level_esr_matches_the_recursion(self):
+        # The benchmark's own sampler does not cover ρ_S > 0, so the
+        # tap-level reference judges the law of fig5's transmitter rows.
+        n, seed = 50_000, 20241102
+        failures = []
+        for corr in FIG5_TX_SETS:
+            taps = tap_esr_both(FIG5_CFG, corr, n, seed)
+            for scheme in ("OS", "SS"):
+                law = estimate_esr(FIG5_CFG, corr, scheme, n, seed)
+                z = (taps[scheme][0] - law.mean) / math.hypot(taps[scheme][1], law.stderr)
+                if abs(z) > 5.0:
+                    failures.append((corr, scheme, taps[scheme][0], law.mean, z))
+        assert not failures, failures
+
+    @pytest.mark.parametrize("corr", FIG5_TX_SETS, ids=["tx", "tx_path", "tx_eave"])
+    def test_both_schemes_read_the_same_link_snrs(self, corr, monkeypatch):
+        # fig5's zero-slack OS >= SS check relies on both rows of a point
+        # reading identical draws, so the grouping never depends on the scheme.
+        seen = {s: _sampled_snrs(FIG5_CFG, corr, 2000, 11, monkeypatch, s) for s in ("OS", "SS")}
+        assert np.array_equal(seen["OS"], seen["SS"])
+
+
+def rotation_to_axis(h):
+    """A unitary U with U·h = ‖h‖·e₁: the rows are h/‖h‖ and an
+    orthonormal basis of its orthogonal complement."""
+    m = len(h)
+    basis = np.column_stack([h, np.eye(m, dtype=complex)[:, :m - 1]])
+    q = np.linalg.qr(basis)[0]
+    q[:, 0] = h / np.linalg.norm(h)
+    return q.conj().T
+
+
+def tap_chain(rho, w):
+    """Taps h_k = ρ·h_{k−1} + s·w_k over transmitters k, h_1 = w_1, for
+    innovations ``w`` shaped (K, M), and the unit draws ``_powers`` reads
+    for them: |h_1|², the rotated innovations' (Re, Im) of the first
+    coordinate, and the power of the others (None when M = 1)."""
+    s = math.sqrt(1.0 - rho * rho)
+    h = [w[0]]
+    parts, rest = [], []
+    for k in range(1, len(w)):
+        u = rotation_to_axis(h[-1])
+        assert np.allclose(u @ u.conj().T, np.eye(len(u)), rtol=0, atol=1e-13)
+        v = u @ w[k]
+        parts.append([v[0].real, v[0].imag])
+        rest.append(np.sum(np.abs(v[1:]) ** 2))
+        h.append(rho * h[-1] + s * w[k])
+    units = (
+        np.array([np.sum(np.abs(h[0]) ** 2)]),
+        np.array(parts).reshape(len(w) - 1, 2, 1),
+        np.array(rest)[:, None] if w.shape[1] > 1 else None,
+    )
+    return np.array([[np.sum(np.abs(x) ** 2)] for x in h]), units
+
+
+def _recording_substream(monkeypatch):
+    """Record (method, args) of every draw the Monte Carlo generators make."""
+    calls = []
+    original = simulation._substream
+
+    class Recorder:
+        def __init__(self, gen):
+            self._gen = gen
+
+        def __getattr__(self, name):
+            fn = getattr(self._gen, name)
+
+            def recorded(*args, **kwargs):
+                calls.append((name, args))
+                return fn(*args, **kwargs)
+
+            return recorded
+
+    monkeypatch.setattr(simulation, "_substream", lambda seed, i: Recorder(original(seed, i)))
+    return calls
+
+
+def recursion_esr_at_rho_s_zero(cfg, corr, scheme, trials, seed):
+    """The ESR of ``corr`` (ρ_S = 0) read through the transmitter
+    recursion's draws, grouped as for ``corr`` with ρ_S = 0.9 beside it."""
+    groups = _draw_groups(cfg, corr, CorrelationConfig(0.9, corr.rho_D, corr.rho_E))
+    law = _link_law(cfg, corr, groups)
+    return _mc_mean(cfg, trials, seed, groups,
+                    lambda u_d, u_e: _chunk_rates(*_snrs(law, u_d, u_e), scheme))
+
+
+def z_score(a, b):
+    return (a.mean - b.mean) / math.hypot(a.stderr, b.stderr)
+
+
+class TestPowerRecursion:
+    """``_powers`` against explicit complex taps, and its edge cases."""
+
+    @pytest.mark.parametrize("rho", [0.0, 0.3, 0.9, 0.999])
+    def test_path_steps_equal_the_tap_powers(self, rho):
+        for trial in range(20):
+            w = np.random.default_rng(trial).standard_normal((5, 1, 2)) @ [1.0, 1j]
+            want, units = tap_chain(rho, w * math.sqrt(0.5))
+            got = _powers(units, rho)
+            assert got.shape == (5, 1)
+            assert np.allclose(got, want, rtol=1e-12, atol=0.0), (got, want)
+
+    @pytest.mark.parametrize("rho", [0.0, 0.5, 0.9])
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_collapsed_steps_equal_the_summed_tap_powers(self, rho, m):
+        for trial in range(20):
+            w = np.random.default_rng(100 * m + trial).standard_normal((4, m, 2)) @ [1.0, 1j]
+            want, units = tap_chain(rho, w * math.sqrt(0.5))
+            got = _powers(units, rho)
+            assert np.allclose(got, want, rtol=1e-12, atol=0.0), (got, want)
+
+    def test_steps_run_elementwise_over_draws(self):
+        gen = np.random.default_rng(3)
+        units = (gen.exponential(size=(5, 2)), gen.normal(size=(3, 2, 5, 2)),
+                 gen.gamma(2.0, size=(3, 5, 2)))
+        whole = _powers(units, 0.7)
+        for i in range(5):
+            alone = _powers(tuple(u[..., i, :] for u in units), 0.7)
+            assert np.array_equal(whole[:, i], alone)
+
+    def test_single_transmitter_takes_no_step(self, monkeypatch):
+        cfg = SystemConfig(1, 3, 2, 2, 10.0, 2.0)
+        calls = _recording_substream(monkeypatch)
+        tx = estimate_esr(cfg, CorrelationConfig(rho_S=0.9), "OS", 20_000, 31)
+        normal_shapes = [args[-1] for name, args in calls if name == "normal"]
+        assert normal_shapes and all(shape[0] == 0 for shape in normal_shapes)
+        monkeypatch.undo()
+        iid = estimate_esr(cfg, IID, "OS", 20_000, 32)
+        assert abs(z_score(tx, iid)) <= 5.0
+        first = np.array([[1.5, 0.25]])
+        assert np.array_equal(_powers((first, np.empty((0, 2, 1, 2)), None), 0.9), first[None])
+
+    @pytest.mark.parametrize(
+        "shape,corr",
+        [((3, 2, 1, 2), CorrelationConfig(rho_S=0.9)),
+         ((3, 2, 2, 1), CorrelationConfig(rho_S=0.9)),
+         ((3, 2, 1, 1), CorrelationConfig(rho_S=0.9)),
+         ((3, 2, 1, 2), CorrelationConfig(0.9, 0.0, 0.5))],
+        ids=["md1", "me1", "both1", "me2_path"],
+    )
+    def test_single_path_links_draw_no_gamma_remainder(self, shape, corr, monkeypatch):
+        cfg = SystemConfig(*shape, 10.0, 2.0)
+        calls = _recording_substream(monkeypatch)
+        estimate_esr(cfg, corr, "OS", 2000, 5)
+        # Per link type, the first transmitter's Gamma(g) and, only for
+        # g > 1, the innovations' Gamma(g − 1): never a Gamma(0).
+        shapes = [args[0] for name, args in calls if name == "standard_gamma"]
+        expected = []
+        for g in _draw_groups(cfg, corr):
+            expected += [g, g - 1] if g > 1 else [g]
+        assert shapes == expected
+        monkeypatch.undo()
+        # At ρ_S = 0 the recursion's draws give the i.i.d. law.
+        iid = CorrelationConfig(0.0, corr.rho_D, corr.rho_E)
+        for scheme in ("OS", "SS"):
+            through = recursion_esr_at_rho_s_zero(cfg, iid, scheme, 20_000, 41)
+            direct = estimate_esr(cfg, iid, scheme, 20_000, 42)
+            assert abs(z_score(through, direct)) <= 5.0, (scheme, through, direct)
+
+    @pytest.mark.parametrize("corr", [IID, CorrelationConfig(rho_D=0.9, rho_E=0.5)],
+                             ids=["iid", "path"])
+    def test_recursion_at_rho_s_zero_matches_the_exponential_path(self, corr):
+        cfg = SystemConfig(3, 2, 3, 2, 10.0, 2.0)
+        for scheme in ("OS", "SS"):
+            through = recursion_esr_at_rho_s_zero(cfg, corr, scheme, 50_000, 43)
+            direct = estimate_esr(cfg, corr, scheme, 50_000, 44)
+            assert abs(z_score(through, direct)) <= 5.0, (scheme, through, direct)
 
 
 class TestChunkRates:
@@ -249,7 +444,7 @@ class TestEstimateEsr:
         assert est.stderr > 0.0
 
 
-def _sampled_snrs(cfg, corr, trials, seed, monkeypatch):
+def _sampled_snrs(cfg, corr, trials, seed, monkeypatch, scheme="OS"):
     """The link SNRs ``estimate_esr`` draws, one row per draw: γ_D[k, l]
     at column k·L + l, then γ_E[k]."""
     rows = []
@@ -258,8 +453,9 @@ def _sampled_snrs(cfg, corr, trials, seed, monkeypatch):
         rows.append(np.concatenate([gd.reshape(len(gd), -1), ge], axis=1))
         return np.zeros(len(gd))
 
-    monkeypatch.setattr("esrsel.simulation._chunk_rates", keep)
-    estimate_esr(cfg, corr, "OS", trials, seed)
+    with monkeypatch.context() as patch:
+        patch.setattr("esrsel.simulation._chunk_rates", keep)
+        estimate_esr(cfg, corr, scheme, trials, seed)
     return np.concatenate(rows)
 
 
@@ -344,14 +540,54 @@ class TestPairedDifference:
         assert d_ab.stderr == d_ba.stderr
 
     def test_transmitter_correlation_effect_resolves_sharply(self):
-        # Either side's transmitter correlation makes both sides read
-        # complex-normal draws; the effect then resolves in both orders.
+        # Either side's transmitter correlation makes both sides read the
+        # transmitter recursion's draws; the effect then resolves in both
+        # orders.
         cfg = SystemConfig(2, 2, 2, 2, 10.0, 1.0)
         corr = CorrelationConfig(rho_S=0.9)
         d_ab = paired_esr_difference(cfg, IID, corr, "OS", 20000, 7)
         d_ba = paired_esr_difference(cfg, corr, IID, "OS", 20000, 7)
         assert d_ab.mean > 5.0 * d_ab.stderr  # transmitter correlation costs OS
         assert d_ab.mean == -d_ba.mean
+
+    # Alone, TX would collapse both link types and TX_PATH only the
+    # eavesdropper's; paired, only the eavesdropper's paths collapse.
+    TX, TX_PATH = CorrelationConfig(rho_S=0.9), CorrelationConfig(0.5, 0.9, 0.0)
+
+    def test_mixed_collapse_groups_only_what_both_sides_share(self):
+        cfg = SystemConfig(3, 2, 3, 2, 10.0, 2.0)
+        assert _draw_groups(cfg, self.TX) == (3, 2)
+        assert _draw_groups(cfg, self.TX_PATH) == (1, 2)
+        assert _draw_groups(cfg, self.TX, self.TX_PATH) == (1, 2)
+        assert _draw_groups(cfg, IID, CorrelationConfig(rho_D=0.9)) is None
+
+    def test_mixed_collapse_is_antisymmetric_under_swap(self):
+        cfg = SystemConfig(3, 2, 3, 2, 10.0, 2.0)
+        for scheme in ("OS", "SS"):
+            d_ab = paired_esr_difference(cfg, self.TX, self.TX_PATH, scheme, 20000, 13)
+            d_ba = paired_esr_difference(cfg, self.TX_PATH, self.TX, scheme, 20000, 13)
+            assert d_ab.mean == -d_ba.mean
+            assert d_ab.stderr == d_ba.stderr
+            assert d_ab.stderr > 0.0
+
+    @pytest.mark.parametrize("side", ["TX", "TX_PATH"])
+    def test_mixed_collapse_identical_sides_give_exactly_zero(self, side):
+        cfg = SystemConfig(3, 2, 3, 2, 10.0, 2.0)
+        corr = getattr(self, side)
+        d = paired_esr_difference(cfg, corr, corr, "OS", 2000, 13)
+        assert d.mean == 0.0
+        assert d.stderr == 0.0
+
+    def test_mixed_collapse_matches_independent_estimates(self):
+        # TX read through per-path groups keeps its law: the paired gap
+        # agrees with the gap of two independent (collapsed) estimates.
+        cfg = SystemConfig(3, 2, 3, 2, 10.0, 2.0)
+        for scheme in ("OS", "SS"):
+            d = paired_esr_difference(cfg, self.TX, self.TX_PATH, scheme, 50000, 17)
+            a = estimate_esr(cfg, self.TX, scheme, 50000, 18)
+            b = estimate_esr(cfg, self.TX_PATH, scheme, 50000, 19)
+            se = math.sqrt(d.stderr**2 + a.stderr**2 + b.stderr**2)
+            assert abs(d.mean - (a.mean - b.mean)) <= 5.0 * se, (scheme, d, a, b)
 
     def test_path_correlation_effect_resolves_sharply(self):
         # Common random numbers lift a ~0.07 bpcu effect far above noise at
