@@ -31,13 +31,13 @@ class ContractError(SelectionModelError, ValueError):
 
 class ComplexityBudgetError(SelectionModelError):
     """The work estimate of an evaluation exceeds the configured budget;
-    ``count`` is a lower bound on it."""
+    ``count`` is that estimate."""
 
     def __init__(self, k: int, L: int, M_D: int, count: int, budget: int):
         self.k, self.L, self.M_D = k, L, M_D
         self.count, self.budget = count, budget
         super().__init__(
-            f"work estimate for (k={k}, L={L}, M_D={M_D}) is at least {count:.3e}, "
+            f"work estimate for (k={k}, L={L}, M_D={M_D}) is {count:.3e}, "
             f"over the budget of {budget:.3e}; reduce K/L/M_D or use "
             "method='quadrature' for this config"
         )

@@ -1,26 +1,18 @@
 """Ergodic secrecy rate closed forms for both selection schemes.
 
 The ESR of the selected pair is C = (1/ln 2) ∫_1^∞ (1 - F(x))/x dx with F
-the CDF of the post-selection SNR ratio.  Expanding 1 - F binomially turns
-the integral into a signed combination of the kernels
+the CDF of the post-selection SNR ratio.  For optimal selection (OS),
+1 - F = 1 - (1 - Q)^K with Q = Σ_l z^l V_l(x): V_l is the member table of
+subset size l, with one pole at -χ_l = -λ_D/(l λ_E), and z = e^{-x/λ_D}.
+The tables collapse the enumerated index sums into convolution powers of
+per-branch atoms (Vandermonde identities), at polynomial cost.
 
-    ∫_1^∞ x^{ν-1} e^{-βx} dx / Π_g (x + χ_g)^{T_g},    χ_g = λ_D/(g λ_E),
-
-whose closed forms live in ``partial_fractions``.  This module assembles the
-combinatorial weight attached to each kernel.  Instead of enumerating every
-index tuple, the per-branch atom tables are raised to convolution powers:
-every weight factor depends only on per-member index sums, so the collapsed
-sum equals the enumerated one term by term (Vandermonde identities), at
-polynomial instead of exponential cost.
-
-There is one assembly, ``_terms``, for optimal selection (OS).  The exact,
-high-SNR and asymptotic routes share its tables, compositions and weights
-and differ only in the kernel that closes each composition: the ratio form
-is the exact form at β = 0, whose atoms lie on the diagonal of the exact
-ones.  Within a composition every term shares the poles χ_g, so its rows
-multiply into one numerator and one partial-fraction decomposition serves
-them all.  SS(K, L) is evaluated as OS(1, K·L), and L = 1 is the general
-case with one pole group.  ``asymptote_line`` reads its offset off one
+There is one assembly, ``_terms``.  One ``pf_selection`` call decomposes
+the whole integrand, one truncated expansion per pole, grade by grade in z,
+and each grade l̃ closes at β = l̃/λ_D.  The ratio form (high-SNR and
+asymptotic) is the exact form at β = 0, whose atoms lie on the diagonal of
+the exact ones; it has one grade and closes with logs.  SS(K, L) is
+evaluated as OS(1, K·L).  ``asymptote_line`` reads its offset off one
 asymptotic value.
 
 All assembly runs in mpmath at an adaptively chosen precision — the signed
@@ -34,16 +26,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, Iterator, List, Tuple
+from typing import Callable, Dict, Tuple
 
 import mpmath as mp
 
 from .channel_model import SystemConfig
 from .errors import CancellationError, ComplexityBudgetError, DomainError
-from .partial_fractions import _MAX_DPS, j0_exact_mp, j0_highsnr_mp, required_dps
+from .partial_fractions import _MAX_DPS, _close_exact, _GammaTable, _log_rational_assembly, pf_selection, required_dps
 
 # Not called here; imported only so that bench/tracer.py's BOUNDARIES resolve.
-from .partial_fractions import _GammaTable, j1_highsnr_mp, pf_coefficients, single_pole_integral_mp  # noqa: F401
+from .partial_fractions import j0_exact_mp, j0_highsnr_mp, j1_highsnr_mp, pf_coefficients, single_pole_integral_mp  # noqa: F401
 
 __all__ = [
     "EsrResult",
@@ -108,22 +100,6 @@ def _poch(a: int, n: int) -> int:
     return out
 
 
-def _compositions(total: int, parts: int) -> Iterator[Tuple[int, ...]]:
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
-def _multinomial(k: int, counts: Tuple[int, ...]) -> int:
-    out = math.factorial(k)
-    for c in counts:
-        out //= math.factorial(c)
-    return out
-
-
 def _conv2(
     a: Dict[Tuple[int, int], mp.mpf], b: Dict[Tuple[int, int], mp.mpf]
 ) -> Dict[Tuple[int, int], mp.mpf]:
@@ -179,13 +155,14 @@ def _v_tables(cfg: SystemConfig, exact: bool, lam_D: mp.mpf, lam_E: mp.mpf):
         wl = w1 if wl is None else _conv2(wl, w1)
         sign_binom = (-1) ** (l + 1) * math.comb(L, l)
         e_l = mp.exp(mp.mpf(l) / lam_D) if exact else None
-        tab: Dict[Tuple[int, int], mp.mpf] = {}
+        tab, scale = {}, {}  # scale depends on n̂ only
         for (n, d), v in sorted(wl.items()):
-            s = sign_binom * lamd_me * _poch(M_E, n)
-            if exact:
-                s *= e_l
-            s /= lame_me * mp.power(mp.mpf(l), M_E + n)
-            tab[(n, d)] = s * v
+            if n not in scale:
+                s = sign_binom * lamd_me * _poch(M_E, n)
+                if exact:
+                    s *= e_l
+                scale[n] = s / (lame_me * mp.power(mp.mpf(l), M_E + n))
+            tab[(n, d)] = scale[n] * v
         out[l] = tab
     return out
 
@@ -226,114 +203,71 @@ def _with_retry(
     raise CancellationError(peak, ln_total)
 
 
-def _pole_groups(K: int, L: int) -> Iterator[Tuple[int, int, List[Tuple[int, int]]]]:
-    """Walk the OS sum's compositions.
-
-    For every power k ≤ K and every split ``comp`` of the k selected factors
-    over the subset sizes l = 1..L, yield (k, signed integer weight
-    (-1)^{k+1} C(K, k) multinomial(k; comp), active groups (l, c) with
-    c > 0).  Each active group contributes one pole χ = λ_D/(l λ_E).
-    """
-    for k in range(1, K + 1):
-        outer = (-1) ** (k + 1) * math.comb(K, k)
-        for comp in _compositions(k, L):
-            active = [(l, c) for l, c in zip(range(1, L + 1), comp) if c > 0]
-            yield k, outer * _multinomial(k, comp), active
-
-
 def _dps(cfg: SystemConfig, exact: bool) -> int:
-    """Starting working precision: the worst kernel estimate over every
-    composition, from float poles at their largest multiplicities."""
-    M_D, M_E = cfg.M_D, cfg.M_E
-    worst = 25.0
-    for k, _, active in _pole_groups(cfg.K, cfg.L):
-        poles = [
-            (cfg.lambda_D / (l * cfg.lambda_E), c * (M_E + l * (M_D - 1)))
-            for l, c in active
-        ]
-        nu_max = sum(c * l * (M_D - 1) for l, c in active)
-        zs: List[float] = []
-        if exact:
-            beta = sum(range(1, cfg.L + 1)) * k / cfg.lambda_D  # upper bound on l̃/λ_D
-            zs = [beta * (1 + c) for c, _ in poles]
-        worst = max(worst, required_dps(poles, zs=zs, nu_max=nu_max))
+    """Starting working precision: ``required_dps`` over the poles at the
+    orders ``pf_selection`` expands them to, K·T_l.  With K = 1 no grade
+    holds two poles, so each pole stands alone."""
+    K, L, M_D = cfg.K, cfg.L, cfg.M_D
+    poles = [(cfg.lambda_D / (l * cfg.lambda_E), K * (cfg.M_E + l * (M_D - 1))) for l in range(1, L + 1)]
+    sets = [([p], l * (M_D - 1)) for l, p in enumerate(poles, 1)] if K == 1 else [(poles, K * L * (M_D - 1))]
+    beta = sum(range(1, L + 1)) * K / cfg.lambda_D if exact else 0.0  # upper bound on l̃/λ_D
+    worst = max(required_dps(p, zs=[beta * (1 + c) for c, _ in p], nu_max=nu) for p, nu in sets)
     if not exact:
-        return int(math.ceil(worst))
+        return worst
     # Weight-table growth for λ_D < 1 and the e^{l̃/λ_D} prefactors.
-    extra = (cfg.K * cfg.L) / cfg.lambda_D / _LN10
+    extra = (K * L) / cfg.lambda_D / _LN10
     if cfg.lambda_D < 1.0:
-        extra += cfg.K * cfg.L * (M_D - 1) * (-math.log10(cfg.lambda_D))
+        extra += K * L * (M_D - 1) * (-math.log10(cfg.lambda_D))
     return int(math.ceil(worst + extra))
 
 
-def _work(cfg: SystemConfig, exact: bool, budget: int) -> int:
-    """Size proxy the budget guard compares against ``budget``; once over
-    it, a lower bound on it.
-
-    It counts the (pole set, ν) kernel terms of the per-pole-set assembly
-    that ``_terms`` replaced, which over-estimates the factorised cost, so
-    the guard refuses no less than it did.  Each composition adds at least
-    one term, so C(K+L, L) − 1 bounds it before the walk, and the walk
-    stops once over ``budget``.  Not yet calibrated to seconds.
-    """
-    compositions = math.comb(cfg.K + cfg.L, cfg.L) - 1
-    if compositions > budget:
-        return compositions
-    work = 0
-    for _, _, active in _pole_groups(cfg.K, cfg.L):
-        n_count = 1
-        for l, c in active:
-            n_count *= c * l * (cfg.M_D - 1) + 1
-        if exact:
-            n_count *= sum(c * l * (cfg.M_D - 1) for l, c in active) + 1
-        work += n_count
-        if work > budget:
-            break
-    return work
+def _work(cfg: SystemConfig, exact: bool) -> int:
+    """Size proxy the budget guard compares against ``budget``: the kernel
+    terms of the per-pole-set assembly, Σ over the compositions c of k ≤ K
+    factors into the subset sizes of Π_l (c_l·a_l + 1), times 1 + Σ_l c_l·a_l
+    in the exact form, a_l = l(M_D − 1).  Two running sums per k take in one
+    subset size at a time, so no composition is enumerated.  It
+    over-estimates one decomposition's cost and is not calibrated to seconds."""
+    K = cfg.K
+    prods, weighted = [1] + [0] * K, [0] * (K + 1)
+    for l in range(1, cfg.L + 1):
+        a = l * (cfg.M_D - 1)
+        new_prods, new_weighted = [0] * (K + 1), [0] * (K + 1)
+        for k in range(K + 1):
+            for c in range(k + 1):
+                new_prods[k] += prods[k - c] * (c * a + 1)
+                new_weighted[k] += (weighted[k - c] + prods[k - c] * c * a) * (c * a + 1)
+        prods, weighted = new_prods, new_weighted
+    return sum(prods[1:]) + (sum(weighted[1:]) if exact else 0)
 
 
 def _terms(cfg: SystemConfig, form: str) -> Tuple[mp.mpf, int, float]:
     """The OS sum for ``form`` ∈ {"exact", "high_snr", "asymptotic"}:
-    (total, partial-fraction coefficient count, log of the envelope of
-    every signed sum).
+    (total, nonzero partial-fraction coefficient count, log of the envelope
+    of every signed sum).
 
-    Within a composition the integrand factorises over its active groups,
-    x⁻¹ e^{-βx} Π_g Σ_n P_{g,n}(x) / (x+χ_g)^{c·M_E+n}, so one kernel call
-    decomposes and closes the whole product; see "Kernel reuse is per
-    composition" in README.
+    One ``pf_selection`` call decomposes x⁻¹[1 − (1 − Σ_l z^l V_l(x))^K],
+    V_l over its pole −χ_l; in the exact form grade l̃ of z = e^{−x/λ_D}
+    closes at β = l̃/λ_D, and the ratio forms' one grade closes with logs.
     """
     exact = form == "exact"
-    M_E = cfg.M_E
     lam_D, lam_E = mp.mpf(cfg.lambda_D), mp.mpf(cfg.lambda_E)
-    v_tabs = _v_tables(cfg, exact, lam_D, lam_E)
-    u_cache: Dict[Tuple[int, int], Dict[Tuple[int, int], mp.mpf]] = {}
-
-    def u_rows(l: int, c: int) -> List[Dict[int, mp.mpf]]:
-        key = (l, c)
-        if key not in u_cache:
-            u_cache[key] = (
-                v_tabs[l] if c == 1 else _conv2(u_cache[(l, c - 1)], v_tabs[l])
-            )
-        rows = _rows_by_first(u_cache[key])
-        return [rows.get(n, {}) for n in range(max(rows) + 1)]
-
-    total = mp.mpf(0)
-    n_terms = 0
-    peaks = []
-    for _, weight0, active in _pole_groups(cfg.K, cfg.L):
-        rows = [u_rows(l, c) for l, c in active]
-        poles = [(lam_D / (l * lam_E), c * M_E + len(r) - 1) for (l, c), r in zip(active, rows)]
-        if exact:
-            beta = sum(l * c for l, c in active) / lam_D
-            value, peak = j0_exact_mp(poles, beta, numerator=rows)
-        else:
-            value, peak = j0_highsnr_mp(poles, form == "asymptotic", rows)
-        total += weight0 * value
-        n_terms += 1 + sum(T for _, T in poles)
-        peaks.append(math.log(abs(weight0)) + peak)
+    factors, poles = [], []
+    for l, table in _v_tables(cfg, exact, lam_D, lam_E).items():
+        rows = _rows_by_first(table)
+        factors.append([rows.get(n, {}) for n in range(max(rows) + 1)])
+        poles.append((lam_D / (l * lam_E), cfg.M_E + max(rows)))
+    cs = [c for c, _ in poles]
+    pfs = pf_selection(factors, poles, cfg.K, exact)
+    tables: Dict[object, _GammaTable] = {}
+    closed = [
+        _close_exact(cs, z / lam_D, pf, tables) if exact else _log_rational_assembly(cs, pf, form == "asymptotic")
+        for z, pf in pfs.items()
+    ]
+    n_terms = sum(1 for pf in pfs.values() for b in (pf.poly, [pf.origin], *pf.poles) for v in b if v)
     ln2 = mp.log(2)
-    peak = max(peaks) + math.log(len(peaks))
-    return total / ln2, n_terms, peak - float(mp.log(ln2))
+    peak = max(p for _, p in closed) + math.log(len(closed))
+    return mp.fsum(v for v, _ in closed) / ln2, n_terms, peak - float(mp.log(ln2))
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +289,7 @@ def _evaluate(cfg: SystemConfig, scheme: str, form: str, budget: int) -> EsrResu
     """One closed-form ESR, with SS evaluated as OS(1, K·L)."""
     os_cfg = cfg if scheme == "OS" else _as_single_transmitter(cfg)
     exact = form == "exact"
-    work = _work(os_cfg, exact, budget)
+    work = _work(os_cfg, exact)
     if work > budget:
         raise ComplexityBudgetError(os_cfg.K, os_cfg.L, os_cfg.M_D, work, budget)
     value, n_terms, peak = _with_retry(lambda: _terms(os_cfg, form), _dps(os_cfg, exact))

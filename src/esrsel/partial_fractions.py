@@ -1,27 +1,19 @@
-"""Partial fractions over {origin, (x+c_g)^{T_g}} and the J-integral closed forms.
+"""Partial fractions over {origin, (x+c_g)^{T_g}} and the closed forms of their integrals.
 
-Every ESR summand reduces to one of four integral families over [1, ∞):
+The ESR integrands over [1, ∞) are rational in x, times e^{-βx} in the
+exact form, with poles at the origin and at -c_g, c_g = λ_D/(l λ_E)
+distinct positive reals.  The exact form closes with Γ(a, z) at
+consecutive integer orders, filled by one E1 evaluation plus up/down
+recurrences; the ratio form (β = 0: high-SNR, and its λ_D → ∞ asymptotic
+variant) closes with logs and rational terms.
 
-    exact:      ∫ x^{ν-1} e^{-βx} / Π_g (x+c_g)^{T_g} dx      (ν ≥ 1: "J1")
-                ∫ e^{-βx} N(x) / (x · Π_g (x+c_g)^{T_g}) dx    ("J0")
-    ratio form: the same with β = 0 (high-SNR), which integrates to
-                logs and rational terms, and its λ_D → ∞ asymptotic variant.
-
-The poles c_g = λ_D/(l λ_E) are distinct positive reals grouped by the
-integer l, with total multiplicity T_g per group.  The numerator N is a
-product of one factor per pole, each written over its own pole's powers
-(see ``pf_coefficients``), so one decomposition serves a whole product of
-per-group sums.  It needs no linear solve:
-
-- each factor is Taylor-shifted once into powers of y_g = x + c_g;
-- the coefficients at -c_g are the first T_g Taylor coefficients of the
-  cofactor y_g^{T_g}·N/(x^o D), a truncated product of series;
-- the origin coefficient is N(0)/D(0);
-- a polynomial part, present when N outgrows x^o D, comes from the
-  expansion at infinity (long division).
-
-The closed forms then need Γ(a, z) at consecutive integer orders, filled by
-one E1 evaluation plus up/down recurrences.
+``pf_selection`` decomposes the whole OS integrand x⁻¹[1 - (1 - Σ_l z^l
+F_l)^K] once, grade by grade in z = e^{-x/λ_D}; ``pf_coefficients``
+decomposes x^p / (x^o Π_g (x+c_g)^{T_g}) for the single kernels.  Neither
+needs a linear solve.  Both Taylor-shift each factor once into powers of
+y_g = x + c_g, read the coefficients at -c_g off a truncated series
+(power or product) divided by x, take the origin from the values at zero,
+and a polynomial part from the expansion at infinity.
 
 These signed sums cancel, so the core runs in mpmath at an adaptively
 estimated precision; callers round to float.  Every coefficient carries an
@@ -39,7 +31,7 @@ nothing carries from one working precision to the next.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import mpmath as mp
 
@@ -60,10 +52,9 @@ _DPS_BASE = 25  # digits of every working precision before its estimated losses
 _DPS_MARGIN = 10  # digits kept on top of the estimated losses
 _MAX_DPS = 300  # no evaluation runs finer than this
 
-# One numerator factor per pole: row n maps d to the coefficient of x^d in
-# P_n, and the factor of pole c is Σ_n P_n(x)·(x + c)^{n_top - n}.
+# The numerator of a factor over (x + c)^T: row n maps d to the coefficient
+# of x^d in P_n, and the numerator is Σ_n P_n(x)·(x + c)^{n_top - n}.
 Factor = Sequence[Dict[int, mp.mpf]]
-Numerator = Union[None, int, Sequence[Factor]]
 
 # ---------------------------------------------------------------------------
 # mp core: incomplete-gamma tables
@@ -224,21 +215,53 @@ def _expand(s, es, T: int, delta: mp.mpf, n: int, at_infinity: bool):
     return _dots(terms)
 
 
-def _series_mul(a, ea, b, eb, n: int):
-    """First n coefficients of the product of two series."""
-    terms: List[Terms] = [[] for _ in range(n)]
-    for i, ai in enumerate(a[:n]):
-        if ai:
-            for j, bj in enumerate(b[: n - i]):
-                if bj:
-                    terms[i + j].append((ai, bj, ea[i] + eb[j]))
-    return _dots(terms)
+# A graded series Σ_g z^g S_g(u): (grade, coefficients, envelopes) parts.
+Graded = List[Tuple[int, List[mp.mpf], List[float]]]
+
+
+def _graded_mul(a: Graded, b: Graded, n: int) -> Graded:
+    """First n coefficients of the product, one series per grade (grades add)."""
+    terms: Dict[int, List[Terms]] = {}
+    for ga, s, es in a:
+        for gb, t, et in b:
+            out = terms.setdefault(ga + gb, [[] for _ in range(n)])
+            for i, si in enumerate(s[:n]):
+                if si:
+                    for j, tj in enumerate(t[: n - i]):
+                        if tj:
+                            out[i + j].append((si, tj, es[i] + et[j]))
+    return [(g, *_dots(t)) for g, t in terms.items()]
+
+
+def _at_zero(f: Factor, c: mp.mpf, T: int) -> Tuple[mp.mpf, float]:
+    """F(0) = Σ_n P_n(0) c^{n_top-n-T} for the factor F = f over (x+c)^T."""
+    top, ln_c = len(f) - 1, _ln(c)
+    return _dot([
+        (row[0], mp.power(c, top - n - T), _mag_ln(row[0]) + (top - n - T) * ln_c)
+        for n, row in enumerate(f) if row.get(0)
+    ])
+
+
+def _principal(h, eh, c: mp.mpf, T: int, over_x: bool):
+    """Coefficients of 1/(x+c)^t, t = 1..T, from the first T Taylor
+    coefficients h of the cofactor in y = x + c, divided by x = y - c first
+    when ``over_x``: r_k = (r_{k-1} - h_k) / c."""
+    pad = max(0, T - len(h))
+    h, eh = h[:T] + [mp.mpf(0)] * pad, eh[:T] + [-math.inf] * pad
+    if over_x:
+        ln_c, prev, top = _ln(c), mp.mpf(0), -math.inf
+        for i in range(T):
+            prev = (prev - h[i]) / c
+            top = max(top, eh[i] + i * ln_c)
+            h[i], eh[i] = prev, top - (i + 1) * ln_c + math.log(i + 1)
+    return h[::-1], eh[::-1]
 
 
 class PartialFractions(NamedTuple):
     """N(x)/(x^o Π_g (x+c_g)^{T_g}) = Σ_j poly[j] x^j + origin/x
     + Σ_g Σ_t poles[g][t-1] / (x+c_g)^t, each coefficient with its envelope
-    (the ``*_ln`` fields; see the module docstring)."""
+    (the ``*_ln`` fields; see the module docstring).  ``poles[g]`` is empty
+    where the function has no pole at -c_g."""
 
     origin: Optional[mp.mpf]
     poles: List[List[mp.mpf]]
@@ -249,54 +272,91 @@ class PartialFractions(NamedTuple):
 
 
 def pf_coefficients(
-    numerator: Numerator,
-    with_origin: bool,
-    poles: Sequence[Tuple[mp.mpf, int]],
+    power: Optional[int], with_origin: bool, poles: Sequence[Tuple[mp.mpf, int]]
 ) -> PartialFractions:
-    """Partial fractions of N(x) / (x^{o} Π_g (x+c_g)^{T_g}).
-
-    ``numerator`` gives N as one ``Factor`` per pole, the g-th over powers
-    of x + c_g; an int p stands for N = x^p, and None for N = 1.
-    """
-    if numerator is None or isinstance(numerator, int):
-        one = {0: mp.mpf(1)}
-        numerator = [[{numerator or 0: mp.mpf(1)}]] + [[one]] * (len(poles) - 1)
-    bases = [_pole_basis(f, c) for f, (c, _) in zip(numerator, poles)]
+    """Partial fractions of x^p / (x^{o} Π_g (x+c_g)^{T_g}), p = ``power``
+    (None for 0): each pole's coefficients are the first T_g Taylor
+    coefficients of its cofactor, a product of the other poles' expansions."""
+    factors = [[{power or 0: mp.mpf(1)}]] + [[{0: mp.mpf(1)}]] * (len(poles) - 1)
+    bases = [_pole_basis(f, c) for f, (c, _) in zip(factors, poles)]
     origin, origin_ln = None, -math.inf
     if with_origin:
         origin, origin_ln = mp.mpf(1), 0.0
-        for f, (c, T) in zip(numerator, poles):
-            # F_g(0) = Σ_n P_n(0) c^{n_top-n-T}
-            top, ln_c = len(f) - 1, _ln(c)
-            v, e = _dot([
-                (row[0], mp.power(c, top - n - T), _mag_ln(row[0]) + (top - n - T) * ln_c)
-                for n, row in enumerate(f) if row.get(0)
-            ])
+        for f, (c, T) in zip(factors, poles):
+            v, e = _at_zero(f, c, T)
             origin, origin_ln = origin * v, origin_ln + e
     bs, bs_ln = [], []
     for g, (c_g, T_g) in enumerate(poles):
-        pad = max(0, T_g - len(bases[g][0]))
-        h = bases[g][0][:T_g] + [mp.mpf(0)] * pad
-        eh = bases[g][1][:T_g] + [-math.inf] * pad
+        h = [(0, *bases[g])]
         for k, (c_k, T_k) in enumerate(poles):
             if k != g:
-                cof = _expand(*bases[k], T_k, c_k - c_g, T_g, False)
-                h, eh = _series_mul(h, eh, *cof, T_g)
-        if with_origin:
-            # divide by x = y - c_g: r_k = (r_{k-1} - h_k) / c_g
-            ln_c, prev, top = _ln(c_g), mp.mpf(0), -math.inf
-            for i in range(T_g):
-                prev = (prev - h[i]) / c_g
-                top = max(top, eh[i] + i * ln_c)
-                h[i], eh[i] = prev, top - (i + 1) * ln_c + math.log(i + 1)
-        bs.append(h[::-1])
-        bs_ln.append(eh[::-1])
+                h = _graded_mul(h, [(0, *_expand(*bases[k], T_k, c_k - c_g, T_g, False))], T_g)
+        b, eb = _principal(*h[0][1:], c_g, T_g, with_origin)
+        bs.append(b)
+        bs_ln.append(eb)
     # The polynomial part: x^size Π_g Φ_g(1/x), kept to its nonnegative powers.
     size = sum(len(s) - 1 - T for (s, _), (_, T) in zip(bases, poles)) - (1 if with_origin else 0)
-    phi, ephi = [mp.mpf(1)], [0.0]
+    phi: Graded = [(0, [mp.mpf(1)], [0.0])]
     for (s, es), (c, T) in zip(bases, poles):
-        phi, ephi = _series_mul(phi, ephi, *_expand(s, es, T, c, size + 1, True), size + 1)
-    return PartialFractions(origin, bs, phi[::-1], origin_ln, bs_ln, ephi[::-1])
+        phi = _graded_mul(phi, [(0, *_expand(s, es, T, c, size + 1, True))], size + 1)
+    (_, p, ep), = phi
+    return PartialFractions(origin, bs, p[::-1], origin_ln, bs_ln, ep[::-1])
+
+
+def pf_selection(
+    factors: Sequence[Factor], poles: Sequence[Tuple[mp.mpf, int]], K: int, graded: bool
+) -> Dict[int, PartialFractions]:
+    """Partial fractions of x⁻¹[1 - (1 - Σ_l z^l F_l(x))^K], grade by grade
+    in z, with F_l the l-th factor over (x + c_l)^{T_l} (l = 1..len(poles)).
+
+    Each piece is the K-th power of S = u^e(Σ_l z^l F_l - 1), negated when
+    K is even: at -c_g, u = y = x + c_g and e = T_g, to K·T_g terms, then
+    divided by x; at the origin, u = 1 and one term; at infinity, u = w = 1/x
+    and e the largest degree of an F_l, which gives the polynomial part.
+    With ``graded`` False, z = 1: one grade, 0, without the origin and the
+    polynomial part, which the log-rational closing does not use.  Grade 0
+    of the graded function is zero and is left out.
+    """
+    bases = [_pole_basis(f, c) for f, (c, _) in zip(factors, poles)]
+    grades = range(1, len(poles) + 1) if graded else [0] * len(poles)
+
+    def power(e: int, n: int, series) -> Dict[int, Tuple[List[mp.mpf], List[float]]]:
+        # series[l]: (shift, coefficients, envelopes) of u^e·F_l.  With
+        # K = 1 each grade holds one part and u^e·(-1) lies beyond n or in
+        # grade 0, so there is nothing to multiply.
+        out = [(z, [0] * d + list(s), [-math.inf] * d + list(es)) for z, (d, s, es) in zip(grades, series) if s]
+        if K > 1:
+            out.append((0, [0] * e + [mp.mpf(-1)], [-math.inf] * e + [0.0]))
+            base = out = _graded_mul(out, [(0, [1], [0.0])], n)  # sums equal grades
+            for _ in range(K - 1):
+                out = _graded_mul(out, base, n)
+        return {z: (s if K % 2 else [-v for v in s], es) for z, s, es in out}
+
+    at_poles = []
+    for g, (c_g, T_g) in enumerate(poles):
+        n = K * T_g
+        series = [
+            (0, s[:n], es[:n]) if l == g else (T_g, *_expand(s, es, T_l, c_l - c_g, n - T_g, False))
+            for l, ((s, es), (c_l, T_l)) in enumerate(zip(bases, poles))
+        ]
+        at_poles.append({z: _principal(h, eh, c_g, n, True) for z, (h, eh) in power(T_g, n, series).items()})
+    origin: Dict[int, Tuple[List[mp.mpf], List[float]]] = {}
+    poly = origin
+    if graded:
+        origin = power(0, 1, [(0, *zip(_at_zero(f, c, T))) for f, (c, T) in zip(factors, poles)])
+        degs = [len(s) - 1 - T for (s, _), (_, T) in zip(bases, poles)]
+        e = max(0, *degs)
+        poly = power(e, K * e, [
+            (e - d, *_expand(s, es, T, c, K * e - (e - d), True))
+            for (s, es), (c, T), d in zip(bases, poles, degs)
+        ])
+    out = {}
+    for z in sorted(set(origin).union(poly, *at_poles) - ({0} if graded else set())):
+        (o,), (eo,) = origin.get(z, ([None], [-math.inf]))
+        p, ep = poly.get(z, ([], []))
+        pl = [pole.get(z, ([], [])) for pole in at_poles]
+        out[z] = PartialFractions(o, [b for b, _ in pl], p[::-1], eo, [eb for _, eb in pl], ep[::-1])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -317,34 +377,40 @@ def _table(tables: Dict[object, _GammaTable], z: mp.mpf) -> _GammaTable:
     return tab
 
 
+def _close_exact(
+    cs: Sequence[mp.mpf], beta: mp.mpf, pf: PartialFractions, tables: Dict[object, _GammaTable]
+) -> Tuple[mp.mpf, float]:
+    """∫_1^∞ e^{-βx} R(x) dx for R given by its partial fractions ``pf``
+    over the poles -cs: the polynomial part closes with Γ(j+1, β)/β^{j+1},
+    the origin with E1(β) and each pole term with e^{βc} β^{t-1}
+    Γ(1-t, β(1+c)).  Only nonzero coefficients are closed."""
+    beta_pw = _pow_list(beta, max([len(pf.poly) + 2] + [len(b) + 1 for b in pf.poles]))
+
+    def integrals():
+        at_beta = _table(tables, beta) if pf.origin or any(pf.poly) else None
+        if pf.origin:
+            yield pf.origin, pf.origin_ln, at_beta.get(0)
+        for j, (p, e) in enumerate(zip(pf.poly, pf.poly_ln)):
+            if p:
+                yield p, e, at_beta.get(j + 1) / beta_pw[j + 1]
+        for c, b, eb in zip(cs, pf.poles, pf.poles_ln):
+            if any(b):
+                tab, ebc = _table(tables, beta * (1 + c)), mp.exp(beta * c)
+                for t, (a, e) in enumerate(zip(b, eb), 1):
+                    if a:
+                        yield a, e, beta_pw[t - 1] * ebc * tab.get(1 - t)
+
+    return _close(integrals())
+
+
 def j0_exact_mp(
     poles: Sequence[Tuple[mp.mpf, int]],
     beta: mp.mpf,
     tables: Optional[Dict[object, _GammaTable]] = None,
-    numerator: Numerator = None,
 ) -> Tuple[mp.mpf, float]:
-    """∫_1^∞ e^{-βx} N(x) / (x Π_g (x+c_g)^{T_g}) dx, N as in ``pf_coefficients``.
-
-    Closes the polynomial part with Γ(j+1, β)/β^{j+1}, the origin with
-    E1(β) and each pole term with e^{βc} β^{t-1} Γ(1-t, β(1+c)).
-    """
-    if tables is None:
-        tables = {}
-    pf = pf_coefficients(numerator, True, poles)
-    beta_pw = _pow_list(beta, max([len(pf.poly) + 2] + [T + 1 for _, T in poles]))
-
-    def integrals():
-        at_beta = _table(tables, beta)
-        yield pf.origin, pf.origin_ln, at_beta.get(0)
-        for j, (p, e) in enumerate(zip(pf.poly, pf.poly_ln)):
-            yield p, e, at_beta.get(j + 1) / beta_pw[j + 1]
-        for (c, T), b, eb in zip(poles, pf.poles, pf.poles_ln):
-            tab = _table(tables, beta * (1 + c))
-            ebc = mp.exp(beta * c)
-            for t in range(1, T + 1):
-                yield b[t - 1], eb[t - 1], beta_pw[t - 1] * ebc * tab.get(1 - t)
-
-    return _close(integrals())
+    """∫_1^∞ e^{-βx} dx / (x Π_g (x+c_g)^{T_g})."""
+    pf = pf_coefficients(None, True, poles)
+    return _close_exact([c for c, _ in poles], beta, pf, {} if tables is None else tables)
 
 
 def single_pole_integral_mp(
@@ -381,7 +447,7 @@ def single_pole_integral_mp(
 
 
 def _log_rational_assembly(
-    poles: Sequence[Tuple[mp.mpf, int]], pf: PartialFractions, asymptotic: bool
+    cs: Sequence[mp.mpf], pf: PartialFractions, asymptotic: bool
 ) -> Tuple[mp.mpf, float]:
     """Σ_g [-b_{g,1} ln(1+c_g) + Σ_{t≥2} b_{g,t} (1+c_g)^{1-t}/(t-1)].
 
@@ -392,24 +458,23 @@ def _log_rational_assembly(
     """
 
     def integrals():
-        for (c, T), b, eb in zip(poles, pf.poles, pf.poles_ln):
-            base = c if asymptotic else (1 + c)
-            inv = _pow_list(1 / base, T)
-            yield b[0], eb[0], -mp.log(base)
-            for t in range(2, T + 1):
-                yield b[t - 1], eb[t - 1], inv[t - 1] / (t - 1)
+        for c, b, eb in zip(cs, pf.poles, pf.poles_ln):
+            if any(b):
+                base = c if asymptotic else (1 + c)
+                inv = _pow_list(1 / base, len(b))
+                yield b[0], eb[0], -mp.log(base)
+                for t in range(2, len(b) + 1):
+                    yield b[t - 1], eb[t - 1], inv[t - 1] / (t - 1)
 
     return _close(integrals())
 
 
 def j0_highsnr_mp(
-    poles: Sequence[Tuple[mp.mpf, int]],
-    asymptotic: bool = False,
-    numerator: Numerator = None,
+    poles: Sequence[Tuple[mp.mpf, int]], asymptotic: bool = False
 ) -> Tuple[mp.mpf, float]:
-    """∫_1^∞ N(x) dx / (x Π_g (x+c_g)^{T_g}) (β = 0 ratio form), N as in
-    ``pf_coefficients``; the integrand must decay at least like x^{-2}."""
-    return _log_rational_assembly(poles, pf_coefficients(numerator, True, poles), asymptotic)
+    """∫_1^∞ dx / (x Π_g (x+c_g)^{T_g}) (β = 0 ratio form)."""
+    pf = pf_coefficients(None, True, poles)
+    return _log_rational_assembly([c for c, _ in poles], pf, asymptotic)
 
 
 def j1_highsnr_mp(
@@ -423,4 +488,5 @@ def j1_highsnr_mp(
         raise DomainError(
             f"x^{nu - 1} over multiplicity {total_mult} does not converge"
         )
-    return _log_rational_assembly(poles, pf_coefficients(nu - 1, False, poles), asymptotic)
+    pf = pf_coefficients(nu - 1, False, poles)
+    return _log_rational_assembly([c for c, _ in poles], pf, asymptotic)

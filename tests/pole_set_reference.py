@@ -1,23 +1,24 @@
 """The per-pole-set assembly of the OS sum: a reference for the tests.
 
-``esrsel.esr_engine._terms`` decomposes each composition's whole integrand
-once.  This module keeps the assembly it replaced: for every composition it
-walks ``product`` over each group's row index n_g, convolves the chosen rows
-into one weight table over ν, and calls one kernel per (pole set, ν), with
-the single-pole integrals φ cached per composition.  It shares the weight
-tables and compositions with the engine, not the decomposition.
+``esrsel.esr_engine._terms`` decomposes the whole integrand once, one
+truncated expansion per pole.  This module keeps an assembly that shares
+only the weight tables with it: it walks every composition of k ≤ K
+selected factors over the subset sizes (the multinomial expansion of the
+K-th power), walks ``product`` over each group's row index n_g, convolves
+the chosen rows into one weight table over ν, and calls one kernel per
+(pole set, ν), with the single-pole integrals φ cached per composition.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import product
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, Iterator, List, Tuple
 
 import mpmath as mp
 
 from esrsel.channel_model import SystemConfig
-from esrsel.esr_engine import _conv2, _pole_groups, _rows_by_first, _v_tables
+from esrsel.esr_engine import _conv2, _rows_by_first, _v_tables
 from esrsel.partial_fractions import (
     _GammaTable,
     _mag_ln,
@@ -30,6 +31,37 @@ from esrsel.partial_fractions import (
 
 # A pole set's kernel: ν ↦ (J value, log of its largest summand).
 Kernel = Callable[[int], Tuple[mp.mpf, float]]
+
+
+def _compositions(total: int, parts: int) -> Iterator[Tuple[int, ...]]:
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def _multinomial(k: int, counts: Tuple[int, ...]) -> int:
+    out = math.factorial(k)
+    for c in counts:
+        out //= math.factorial(c)
+    return out
+
+
+def _pole_groups(K: int, L: int) -> Iterator[Tuple[int, int, List[Tuple[int, int]]]]:
+    """Walk the OS sum's compositions.
+
+    For every power k ≤ K and every split ``comp`` of the k selected factors
+    over the subset sizes l = 1..L, yield (k, signed integer weight
+    (-1)^{k+1} C(K, k) multinomial(k; comp), active groups (l, c) with
+    c > 0).  Each active group contributes one pole χ = λ_D/(l λ_E).
+    """
+    for k in range(1, K + 1):
+        outer = (-1) ** (k + 1) * math.comb(K, k)
+        for comp in _compositions(k, L):
+            active = [(l, c) for l, c in zip(range(1, L + 1), comp) if c > 0]
+            yield k, outer * _multinomial(k, comp), active
 
 
 def _conv1(a: Dict[int, mp.mpf], b: Dict[int, mp.mpf]) -> Dict[int, mp.mpf]:

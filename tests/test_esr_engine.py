@@ -12,6 +12,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import mpmath as mp
@@ -24,8 +25,8 @@ from esrsel.errors import CancellationError, ComplexityBudgetError
 from esrsel.esr_engine import (
     _as_single_transmitter,
     _dps,
-    _pole_groups,
     _terms,
+    _v_tables,
     _with_retry,
     asymptote_line,
     esr_asymptotic,
@@ -34,11 +35,12 @@ from esrsel.esr_engine import (
     esr_ss_exact,
     esr_ss_highsnr,
 )
+from esrsel.partial_fractions import pf_selection
 from esrsel.simulation import _quadrature_esr_ratio_form, quadrature_esr
 from asymptote_reference import asymptote_offset
 from index_algebra import enumerate_X, xi_identity_check
 from partial_fractions_float import eval_J0_exact, eval_J1_exact, group_poles
-from pole_set_reference import terms_per_pole_set
+from pole_set_reference import _pole_groups, terms_per_pole_set
 
 # Quadrature-oracle values (frozen first).
 X1 = 2.1004124800191777  # (K,L,M_D,M_E,λ_D,λ_E) = (1,1,1,1,10,1), either scheme
@@ -377,21 +379,20 @@ class TestGuards:
                         refused = False
                     except ComplexityBudgetError as err:
                         refused = True
-                        assert budget < err.count <= work
+                        assert err.count == work
                     assert refused == (work > budget), (K, L, M_D, exact, budget)
 
-    @pytest.mark.parametrize("shape", [(16, 16, 1, 1), (12, 12, 2, 2)])
-    def test_refusal_does_not_walk_every_composition(self, monkeypatch, shape):
-        # The full walks are 6.0e8 and 2.7e6 compositions long.
-        def counted(K, L):
-            for n, group in enumerate(_pole_groups(K, L)):
-                if n >= 10**5:
-                    raise AssertionError("the budget guard walked 1e5 compositions")
-                yield group
+    # The full walks are 6.0e8 and 2.7e6 compositions long; the second
+    # count is ``full_walk_work`` summed over the latter (17 s).
+    REFUSED = {(16, 16, 1, 1): math.comb(32, 16) - 1, (12, 12, 2, 2): 2_421_686_769_340_604}
 
-        monkeypatch.setattr(esr_engine, "_pole_groups", counted)
-        with pytest.raises(ComplexityBudgetError, match="is at least"):
+    @pytest.mark.parametrize("shape", list(REFUSED))
+    def test_refusal_does_not_walk_every_composition(self, shape):
+        start = time.perf_counter()
+        with pytest.raises(ComplexityBudgetError) as exc_info:
             esr_os_exact(SystemConfig(*shape, 10.0, 1.0))
+        assert time.perf_counter() - start < 0.5
+        assert exc_info.value.count == self.REFUSED[shape]
 
     def test_cancellation_guard_trips_on_hopeless_sum(self):
         # A synthetic evaluator whose sum is 660 log10-digits below its
@@ -428,7 +429,7 @@ print(value.hex(), n_terms, peak.hex())
 
 
 class TestKernelReuse:
-    """Integer binomials, and no value reused beyond one composition at one
+    """Integer binomials, and no value reused beyond one evaluation at one
     working precision."""
 
     CFG = SystemConfig(2, 2, 3, 3, 100.0, LAMBDA_9DB)
@@ -487,8 +488,8 @@ _REFERENCE_CACHE = {}
 
 
 class TestFactorisedAssembly:
-    """One decomposition per composition against the per-pole-set assembly
-    it replaced, beyond C1's shapes against quadrature, and an honest peak."""
+    """One decomposition per evaluation against the per-pole-set assembly,
+    beyond C1's shapes against quadrature, and an honest peak."""
 
     @pytest.mark.parametrize(
         "fn,scheme,route",
@@ -536,6 +537,13 @@ class TestFactorisedAssembly:
         want = oracle(cfg, scheme).value
         assert abs(fn(cfg).value - want) <= max(1e-6 * abs(want), 1e-8)  # C1's tolerance
 
+    @pytest.mark.parametrize("shape", [(5, 5, 5, 5), (6, 6, 4, 4)])
+    def test_large_high_snr_matches_oracle(self, shape):
+        # Beyond the four-by-four shapes, under the default budget.
+        cfg = SystemConfig(*shape, 100.0, LAMBDA_9DB)
+        want = _quadrature_esr_ratio_form(cfg, "OS").value
+        assert abs(esr_os_highsnr(cfg).value - want) <= max(1e-6 * abs(want), 1e-8)  # C1's tolerance
+
     @pytest.mark.parametrize(
         "shape",
         [
@@ -558,3 +566,43 @@ class TestFactorisedAssembly:
             fine, _, _ = _terms(cfg, route)
             correct = float(-mp.log10(abs(total - fine) / abs(fine)))
         assert dps - correct <= claimed
+
+
+class TestSelectionDecomposition:
+    """``pf_selection``'s pieces add back up to the integrand they split."""
+
+    @pytest.mark.parametrize("shape", [(1, 3, 2, 3), (3, 1, 3, 2), (2, 2, 3, 3), (3, 3, 3, 3)])
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "ratio"])
+    def test_recombines_to_the_integrand(self, shape, exact):
+        cfg = SystemConfig(*shape, 10.0, LAMBDA_9DB)
+        dps = _dps(cfg, exact)
+        with mp.workdps(dps):
+            lam_D, lam_E = mp.mpf(cfg.lambda_D), mp.mpf(cfg.lambda_E)
+            tables = _v_tables(cfg, exact, lam_D, lam_E)
+            factors, poles = [], []
+            for l, table in tables.items():
+                top = max(n for n, _ in table)
+                factors.append([{d: v for (m, d), v in table.items() if m == n} for n in range(top + 1)])
+                poles.append((lam_D / (l * lam_E), cfg.M_E + top))
+            pfs = pf_selection(factors, poles, cfg.K, exact)
+            for x in map(mp.mpf, ("1.5", "4", "17", "50")):
+                z = mp.exp(-x / lam_D) if exact else 1
+                q = sum(
+                    z**l * v * x**d / (x + c) ** (cfg.M_E + n)
+                    for l, (c, _) in zip(tables, poles) for (n, d), v in tables[l].items()
+                )
+                want = (1 - (1 - q) ** cfg.K) / x
+                pieces = []
+                for grade, pf in pfs.items():
+                    # The ratio form's origin coefficient is minus its
+                    # first-order residues: its integrand decays like x^-2.
+                    origin = pf.origin if exact else -sum(b[0] for b in pf.poles if b)
+                    pieces += [z**grade * origin / x] + [z**grade * p * x**j for j, p in enumerate(pf.poly)]
+                    pieces += [
+                        z**grade * b / (x + c) ** t
+                        for (c, _), bs in zip(poles, pf.poles) for t, b in enumerate(bs, 1)
+                    ]
+                # Relative to the largest term, as in C8, with 12 of the
+                # working digits to spare: the pieces cancel by design.
+                scale = max(abs(p) for p in pieces)
+                assert abs(mp.fsum(pieces) - want) <= mp.mpf(10) ** (12 - dps) * max(abs(want), scale), x
