@@ -183,10 +183,17 @@ def _with_retry(
 ) -> Tuple[float, int, float]:
     """Run ``evaluator`` under increasing precision until the cancellation
     headroom is at least 12 digits; raise CancellationError when ``_MAX_DPS``
-    digits cannot provide it."""
+    digits cannot provide it.
+
+    A sum that keeps no digit above its rounding error at two successive
+    precisions, and is exactly 0 at both or smaller at the finer one
+    (rounding noise shrinks with the precision, a value does not), is 0, as
+    the symmetric asymptotic ratio (K = L = 1, M_D = M_E, λ_D = λ_E) is.
+    """
     dps = min(_MAX_DPS, dps0)
     ln_total = -math.inf
     peak = -math.inf
+    noise = None  # the previous sum, when it kept no digit above its rounding error
     for _ in range(3):
         with mp.workdps(dps):
             total, n_terms, peak = evaluator()
@@ -197,6 +204,12 @@ def _with_retry(
         lost = (peak - ln_total) / _LN10
         if lost < dps - 12:
             return value, n_terms, peak
+        if lost < dps:
+            noise = None
+        elif noise is not None and (abs(total) < abs(noise) or total == noise == 0):
+            return 0.0, n_terms, peak
+        else:
+            noise = total
         if dps >= _MAX_DPS:
             break
         dps = min(_MAX_DPS, int(dps * 1.5) + 10)

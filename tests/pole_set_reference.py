@@ -7,13 +7,19 @@ selected factors over the subset sizes (the multinomial expansion of the
 K-th power), walks ``product`` over each group's row index n_g, convolves
 the chosen rows into one weight table over ν, and calls one kernel per
 (pole set, ν), with the single-pole integrals φ cached per composition.
+
+Below it, the index tuples behind the weight tables, walked literally: one
+term per choice of (m, n, u) on every path of a subset member, the power of
+a keyed table as a walk over its key tuples (the reference for ``_conv2``),
+and the normalisation sum Ξ.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from itertools import product
-from typing import Callable, Dict, Iterator, List, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Tuple
 
 import mpmath as mp
 
@@ -73,13 +79,11 @@ def _conv1(a: Dict[int, mp.mpf], b: Dict[int, mp.mpf]) -> Dict[int, mp.mpf]:
     return out
 
 
-def _exact_kernels(
-    active: List[Tuple[int, int]], chis: List[mp.mpf], lam_D: mp.mpf
-) -> Callable[[List[Tuple[mp.mpf, int]]], Kernel]:
-    """Exact kernels of one composition: its pole sets share β = l̃/λ_D, the
-    incomplete-gamma tables and the single-pole integrals φ; several poles
-    recombine φ through their partial-fraction coefficients."""
-    beta = sum(l * c for l, c in active) / lam_D
+def _exact_kernels(beta: mp.mpf, chis: List[mp.mpf]) -> Callable[[List[Tuple[mp.mpf, int]]], Kernel]:
+    """Exact kernels of one composition: its pole sets, over the poles
+    -``chis`` in that order, share β = l̃/λ_D, the incomplete-gamma tables and
+    the single-pole integrals φ; several poles recombine φ through their
+    partial-fraction coefficients."""
     zs = [beta * (1 + c) for c in chis]
     tables = {z: _GammaTable(z) for z in zs}
     phi_cache: Dict[Tuple[int, int, int], Tuple[mp.mpf, float]] = {}
@@ -156,7 +160,7 @@ def terms_per_pole_set(cfg: SystemConfig, form: str) -> Tuple[mp.mpf, int, float
         log_w0 = math.log(abs(weight0))
         chis = [lam_D / (l * lam_E) for l, _ in active]
         if exact:
-            kernels = _exact_kernels(active, chis, lam_D)
+            kernels = _exact_kernels(sum(l * c for l, c in active) / lam_D, chis)
         else:
             kernels = _ratio_kernels(form == "asymptotic")
         rows_per_group = [u_rows(l, c) for l, c in active]
@@ -177,3 +181,59 @@ def terms_per_pole_set(cfg: SystemConfig, form: str) -> Tuple[mp.mpf, int, float
                 peak = max(peak, log_w0 + _mag_ln(gv) + j_peak)
     ln2 = mp.log(2)
     return total / ln2, n_terms, peak - float(mp.log(ln2))
+
+
+# ---------------------------------------------------------------------------
+# literal index tuples
+
+Key = Tuple[int, int]
+
+
+def member_terms(cfg: SystemConfig, l: int) -> Iterator[Tuple[Key, mp.mpf]]:
+    """A subset member of size l, one term per choice of (m_p, n_p, u_p),
+    0 ≤ m_p < M_D, n_p ≤ m_p, u_p ≤ m_p − n_p, on each of its l paths: the
+    key (n̂, m̂ − û), i.e. the pole order M_E + n̂ and the power of x, and the
+    exact form's coefficient, from first principles."""
+    M_E = cfg.M_E
+    lam_D, lam_E = mp.mpf(cfg.lambda_D), mp.mpf(cfg.lambda_E)
+    atoms = [(m, n, u) for m in range(cfg.M_D) for n in range(m + 1) for u in range(m - n + 1)]
+    head = (-1) ** (l + 1) * math.comb(cfg.L, l) * mp.exp(l / lam_D) / lam_E**M_E
+    for paths in product(atoms, repeat=l):
+        m_hat, n_hat, u_hat = (sum(col) for col in zip(*paths))
+        coef = head * math.prod(range(M_E, M_E + n_hat)) * lam_D ** (M_E + n_hat - m_hat) / mp.mpf(l) ** (M_E + n_hat)
+        for m, n, u in paths:
+            coef *= mp.mpf((-1) ** u) / (math.factorial(n) * math.factorial(u) * math.factorial(m - n - u))
+        yield (n_hat, m_hat - u_hat), coef
+
+
+def tuple_poles(l_vec: List[int], n_hat: List[int], M_E: int, lam_D: float, lam_E: float) -> List[Tuple[float, int]]:
+    """The poles of one index tuple's tail integral, one per distinct subset
+    size l, in increasing l: (λ_D/(l λ_E), Σ over its members of M_E + n̂)."""
+    orders: Dict[int, int] = {}
+    for l, n in zip(l_vec, n_hat):
+        orders[l] = orders.get(l, 0) + M_E + n
+    return [(lam_D / (l * lam_E), T) for l, T in sorted(orders.items())]
+
+
+def literal_power(items: Iterable[Tuple[Key, mp.mpf]], k: int) -> Dict[Key, mp.mpf]:
+    """(Σ items)^k grouped by key, walked over every k-tuple of the
+    (key, value) pairs ``items`` (keys may repeat): each tuple adds the
+    product of its values under the sum of its keys."""
+    items = list(items)
+    out: Dict[Key, mp.mpf] = {}
+    for combo in product(items, repeat=k):
+        key = tuple(map(sum, zip(*(key for key, _ in combo))))
+        out[key] = out.get(key, 0) + mp.fprod(v for _, v in combo)
+    return out
+
+
+def xi(m_hat: int, k: int, M_E: int) -> float:
+    """The normalisation sum Ξ(m̂, k·M_E) = Σ_{v<m̂} (−1)^{m̂−v−1}
+    Π_{u≠v} (k·M_E + m̂ − u − 1) / (v! (m̂ − v − 1)!), which is 1, summed in
+    exact rationals."""
+    t = k * M_E
+    total = Fraction(0)
+    for v in range(m_hat):
+        num = math.prod(t + m_hat - u - 1 for u in range(m_hat) if u != v)
+        total += (-1) ** (m_hat - v - 1) * Fraction(num, math.factorial(v) * math.factorial(m_hat - v - 1))
+    return float(total)

@@ -27,22 +27,27 @@ criteria 6 and 7 assert the behaviour the quadrature oracle confirms instead:
   eavesdropper SNRs, with the sign each one gives.
 """
 
+import functools
 import itertools
 import math
 import random
 import time
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from esrsel.channel_model import CorrelationConfig, SystemConfig
 from esrsel.esr_engine import (
+    _conv2,
+    _v_tables,
     asymptote_line,
     esr_os_exact,
     esr_os_highsnr,
     esr_ss_exact,
     esr_ss_highsnr,
 )
+from esrsel.partial_fractions import _DPS_BASE, _GammaTable, _descent_digits, pf_coefficients, required_dps
 from esrsel.simulation import (
     _chunk_rates,
     _draw_groups,
@@ -54,9 +59,7 @@ from esrsel.simulation import (
     paired_esr_difference,
     quadrature_esr,
 )
-from index_algebra import pos_to_sop_check, xi_identity_check
-from partial_fractions_float import expand, group_poles
-from special_functions import upper_incomplete_gamma
+from pole_set_reference import literal_power, member_terms, tuple_poles, xi
 
 LAMBDA_9DB = 10.0 ** 0.9  # 9 dB in linear units
 
@@ -386,54 +389,75 @@ def test_criterion_7_multipath_trends():
 
 
 def test_criterion_8_identity_suites():
-    # Incomplete-gamma recurrence across the support actually used.
-    for a in range(-20, 21):
-        for x in (0.1, 1.0, 5.0, 50.0):
-            lhs = a * upper_incomplete_gamma(a, x) + x**a * math.exp(-x)
-            rhs = upper_incomplete_gamma(a + 1, x)
-            assert abs(lhs - rhs) <= 1e-11 * max(abs(lhs), abs(rhs))
+    # Incomplete-gamma tables across the support actually used, at the
+    # precision the library gives their downward fill.
+    for x in (0.1, 1.0, 5.0, 50.0):
+        with mp.workdps(_DPS_BASE + math.ceil(_descent_digits(x, 20))):
+            table = _GammaTable(mp.mpf(x))
+            for a in range(-20, 21):
+                want = mp.gammainc(a, x)
+                assert abs(table.get(a) - want) <= 1e-11 * want, (a, x)
     # Normalization sum collapses to one.
     for m_hat in range(1, 7):
         for k in (1, 2, 3):
             for m_e in (1, 2, 3):
-                assert abs(xi_identity_check(m_hat, k, m_e) - 1.0) <= 1e-9
-    # Power-of-sums re-summation on random tables.
+                assert abs(xi(m_hat, k, m_e) - 1.0) <= 1e-9
+    # Power-of-sums re-summation: ``_conv2`` powers of random tables over
+    # (i, j, v) triples, keyed (j, i − v) as the weight tables key (n, m − u),
+    # entry by entry against a literal walk over the key tuples.
     rng = random.Random(20240820)
-    for mu in (0, 1, 2, 3):
-        for zeta in (1, 2, 3):
-            table = {
-                (i, j, v): rng.uniform(-2.0, 2.0)
-                for i in range(mu + 1)
-                for j in range(i + 1)
-                for v in range(i - j + 1)
-            }
-            lhs, rhs = pos_to_sop_check(mu, zeta, table)
-            assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
+    with mp.workdps(30):
+        for mu in (0, 1, 2, 3):
+            for zeta in (1, 2, 3):
+                items = [
+                    ((j, i - v), mp.mpf(rng.uniform(-2.0, 2.0)))
+                    for i in range(mu + 1)
+                    for j in range(i + 1)
+                    for v in range(i - j + 1)
+                ]
+                table = {}
+                for key, value in items:
+                    table[key] = table.get(key, 0) + value
+                got = functools.reduce(_conv2, [table] * zeta)
+                want = literal_power(items, zeta)
+                lhs = mp.fsum(value for _, value in items) ** zeta
+                assert set(got) == set(want)
+                for key in want:
+                    assert abs(got[key] - want[key]) <= 1e-12 * max(1.0, abs(lhs))
+                assert abs(mp.fsum(got.values()) - lhs) <= 1e-12 * max(1.0, abs(lhs))
+        # The member tables the closed forms run on, against the literal
+        # (m, n, u)-tuple sums of their coefficients.
+        for L, m_d in itertools.product((1, 2, 3), repeat=2):
+            cfg = SystemConfig(1, L, m_d, 2, 10.0, LAMBDA_9DB)
+            tables = _v_tables(cfg, True, mp.mpf(cfg.lambda_D), mp.mpf(cfg.lambda_E))
+            for l in range(1, L + 1):
+                terms = list(member_terms(cfg, l))
+                want = literal_power(terms, 1)
+                assert set(tables[l]) == set(want)
+                for key, value in want.items():
+                    scale = mp.fsum(abs(c) for k, c in terms if k == key)
+                    assert abs(tables[l][key] - value) <= 1e-12 * scale, (L, m_d, l, key)
     # Partial-fraction recombination on random pole structures.
     for seed in range(6):
         sr = random.Random(900 + seed)
         k = sr.randint(1, 3)
         l_vec = [sr.randint(1, 4) for _ in range(k)]
         n_hat = [sr.randint(0, 2) for _ in range(k)]
-        structure = group_poles(
-            l_vec, n_hat, sr.randint(1, 2), sr.uniform(0.5, 50.0),
-            sr.uniform(0.5, 5.0), sr.random() < 0.5,
-        )
-        e = expand(structure)
+        poles = tuple_poles(l_vec, n_hat, sr.randint(1, 2), sr.uniform(0.5, 50.0), sr.uniform(0.5, 5.0))
+        with_origin = sr.random() < 0.5
+        with mp.workdps(required_dps(poles)):
+            pf = pf_coefficients(None, with_origin, [(mp.mpf(c), T) for c, T in poles])
+            origin = float(pf.origin) if with_origin else 0.0
+            terms = [(c, t, float(b)) for (c, _), bs in zip(poles, pf.poles) for t, b in enumerate(bs, 1)]
         for x in np.linspace(1.5, 50.0, 32):
-            want = (1.0 / x) if structure.has_origin_pole else 1.0
-            for pole in structure.poles:
-                want /= (x + pole.location) ** pole.total_multiplicity
-            got = (e.a_coeff or 0.0) / x + sum(
-                c / (x + loc) ** t for loc, t, c in e.terms
-            )
+            want = (1.0 / x) if with_origin else 1.0
+            for c, T in poles:
+                want /= (x + c) ** T
+            got = origin / x + sum(b / (x + c) ** t for c, t, b in terms)
             # Error budget is relative to the largest term: partial fractions
             # cancel by design at large x, so the sum can be orders of
             # magnitude below its own summands.
-            term_scale = max(
-                [abs(e.a_coeff or 0.0) / x]
-                + [abs(c) / (x + loc) ** t for loc, t, c in e.terms]
-            )
+            term_scale = max([abs(origin) / x] + [abs(b) / (x + c) ** t for c, t, b in terms])
             assert abs(got - want) <= 1e-12 * max(abs(want), term_scale)
     print("C8 identity suites: recurrence, normalization, re-summation, "
           "recombination all within pinned tolerances")

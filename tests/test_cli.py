@@ -591,6 +591,17 @@ class TestExitCodes:
         assert "error" in err.lower()
         assert "method='quadrature'" in err
 
+    @pytest.mark.parametrize("m", ["2", "3"])
+    def test_symmetric_asymptotic_ratio_is_zero(self, capsys, m):
+        # The sum cancels to 0; that is the value, not a cancellation error.
+        code, out, err = run_cli(
+            ["esr", "--scheme", "both", "--method", "asymptotic", "--k", "1", "--l", "1",
+             "--md", m, "--me", m, "--lambda-d-db", "0", "--lambda-e-db", "0"],
+            capsys,
+        )
+        assert (code, err) == (0, "")
+        assert [float(r["esr_bpcu"]) for r in parse_rows(out)] == [0.0, 0.0]
+
     def test_invalid_count_rejected(self):
         with pytest.raises(SystemExit) as e:
             main(["esr", "--k", "0"])

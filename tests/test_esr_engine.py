@@ -35,12 +35,10 @@ from esrsel.esr_engine import (
     esr_ss_exact,
     esr_ss_highsnr,
 )
-from esrsel.partial_fractions import pf_selection
+from esrsel.partial_fractions import pf_selection, required_dps
 from esrsel.simulation import _quadrature_esr_ratio_form, quadrature_esr
 from asymptote_reference import asymptote_offset
-from index_algebra import enumerate_X, xi_identity_check
-from partial_fractions_float import eval_J0_exact, eval_J1_exact, group_poles
-from pole_set_reference import _pole_groups, terms_per_pole_set
+from pole_set_reference import _exact_kernels, _pole_groups, member_terms, terms_per_pole_set, tuple_poles, xi
 
 # Quadrature-oracle values (frozen first).
 X1 = 2.1004124800191777  # (K,L,M_D,M_E,λ_D,λ_E) = (1,1,1,1,10,1), either scheme
@@ -60,53 +58,25 @@ def rel_err(got, want):
     return abs(got - want) / abs(want)
 
 
-def poch(a, n):
-    out = 1
-    for i in range(n):
-        out *= a + i
-    return out
-
-
 def naive_os_exact(cfg):
-    """Reference evaluator: walk every index tuple, assemble its coefficient
-    from first principles in plain floats, and evaluate the matching tail
-    integral; no grouping, no signed-log accumulation."""
-    total = 0.0
+    """Reference evaluator: walk every index tuple, take its coefficient from
+    first principles and its tail integral from one per-tuple kernel, each at
+    its own working precision; no grouping, no shared tables."""
+    lam_D, lam_E = cfg.lambda_D, cfg.lambda_E
+    with mp.workdps(40):
+        members = [(l, key, coef) for l in range(1, cfg.L + 1) for key, coef in member_terms(cfg, l)]
+    total = []
     for k in range(1, cfg.K + 1):
-        _, stream = enumerate_X(k, cfg.L, cfg.M_D)
-        ksum = 0.0
-        for t in stream:
-            ag = t.aggregates
-            coef = 1.0
-            for q in range(k):
-                l = t.l_vec[q]
-                nh, mh = ag.n_hat[q], ag.m_hat[q]
-                coef *= (
-                    (-1) ** (l + 1)
-                    * math.comb(cfg.L, l)
-                    * math.exp(l / cfg.lambda_D)
-                    * poch(cfg.M_E, nh)
-                    * cfg.lambda_D ** (cfg.M_E + nh - mh)
-                    / (cfg.lambda_E**cfg.M_E * l ** (cfg.M_E + nh))
-                )
-                for p in range(l):
-                    m_, n_, u_ = t.m[q][p], t.n[q][p], t.u[q][p]
-                    coef *= (-1) ** u_ / (
-                        math.factorial(n_)
-                        * math.factorial(u_)
-                        * math.factorial(m_ - n_ - u_)
-                    )
-            with_origin = ag.m_tilde - ag.u_tilde == 0
-            struct = group_poles(
-                t.l_vec, ag.n_hat, cfg.M_E, cfg.lambda_D, cfg.lambda_E, with_origin
-            )
-            if with_origin:
-                j_val = eval_J0_exact(struct, ag.l_tilde, cfg.lambda_D)
-            else:
-                j_val = eval_J1_exact(struct, ag, cfg.lambda_D, cfg.lambda_E)
-            ksum += coef * j_val
-        total += (-1) ** (k + 1) * math.comb(cfg.K, k) * ksum
-    return total / math.log(2.0)
+        sign = (-1) ** (k + 1) * math.comb(cfg.K, k)
+        for combo in itertools.product(members, repeat=k):
+            poles = tuple_poles([l for l, _, _ in combo], [n for _, (n, _), _ in combo], cfg.M_E, lam_D, lam_E)
+            beta = sum(l for l, _, _ in combo) / lam_D
+            nu = sum(d for _, (_, d), _ in combo)  # m̃ − ũ; ν = 0 carries the origin pole
+            with mp.workdps(required_dps(poles, zs=[beta * (1 + c) for c, _ in poles], nu_max=nu)):
+                mp_poles = [(mp.mpf(c), T) for c, T in poles]
+                j_val, _ = _exact_kernels(mp.mpf(beta), [c for c, _ in mp_poles])(mp_poles)(nu)
+                total.append(float(sign * mp.fprod(coef for _, _, coef in combo) * j_val))
+    return math.fsum(total) / math.log(2.0)
 
 
 class TestExactValues:
@@ -334,19 +304,19 @@ class TestXiIdentity:
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("m_e", [1, 2, 3])
     def test_trivial_single_term(self, k, m_e):
-        assert xi_identity_check(1, k, m_e) == pytest.approx(1.0, abs=1e-14)
+        assert xi(1, k, m_e) == pytest.approx(1.0, abs=1e-14)
 
     def test_mid_order(self):
-        assert abs(xi_identity_check(3, 2, 2) - 1.0) < 1e-10
+        assert abs(xi(3, 2, 2) - 1.0) < 1e-10
 
     def test_high_order(self):
-        assert abs(xi_identity_check(6, 3, 1) - 1.0) < 1e-9
+        assert abs(xi(6, 3, 1) - 1.0) < 1e-9
 
     @pytest.mark.parametrize("m_hat", range(1, 7))
     def test_sweep(self, m_hat):
         for k in (1, 2, 3):
             for m_e in (1, 2):
-                assert abs(xi_identity_check(m_hat, k, m_e) - 1.0) < 1e-9
+                assert abs(xi(m_hat, k, m_e) - 1.0) < 1e-9
 
 
 class TestGuards:
@@ -401,6 +371,23 @@ class TestGuards:
         with pytest.raises(CancellationError) as exc_info:
             _with_retry(evaluator, 30)
         assert exc_info.value.max_log_term == 500.0
+
+    @pytest.mark.parametrize("shape", [(1, 1, 2, 2), (1, 1, 3, 3)])
+    @pytest.mark.parametrize("scheme", ["OS", "SS"])
+    def test_symmetric_ratio_is_zero(self, shape, scheme):
+        # E[log2(γ_D/γ_E)] = 0 when both links follow one law.  The sum is
+        # exactly 0 at (1,1,2,2); at (1,1,3,3) it is rounding noise that
+        # shrinks with the working precision.
+        result = esr_asymptotic(SystemConfig(*shape, 1.0, 1.0), scheme)
+        assert result.value == 0.0
+
+    def test_zero_then_value_follows_the_headroom_rule(self):
+        # A zero that the next precision does not confirm decides nothing.
+        healthy = iter([(mp.mpf(0), 3, 4.0), (mp.mpf("2.5"), 3, 4.0)])
+        assert _with_retry(lambda: next(healthy), 30) == (2.5, 3, 4.0)
+        hopeless = iter([(mp.mpf(0), 5, 500.0)] + [(mp.mpf("1e-200"), 5, 500.0)] * 2)
+        with pytest.raises(CancellationError):
+            _with_retry(lambda: next(hopeless), 30)
 
     def test_retry_passes_healthy_sum_through(self):
         evaluator = lambda: (mp.mpf("2.5"), 3, 4.0)

@@ -1,6 +1,10 @@
-"""The package's public names are exactly what its modules export."""
+"""The package's public names are exactly what its modules export, and the
+internal names the benchmark's tracer wraps are still there."""
 
+import importlib
+import runpy
 import types
+from pathlib import Path
 
 import pytest
 
@@ -40,3 +44,14 @@ def test_tap_level_model_is_not_in_the_library(name):
 def test_scalar_link_laws_are_not_in_the_library(name):
     assert not hasattr(esrsel, name)
     assert not hasattr(channel_model, name)
+
+
+def test_tracer_boundaries_resolve():
+    # ``bench/tracer.py`` wraps these (module, attribute) pairs by name; some
+    # are imported into their module only so that it can.
+    tracer = runpy.run_path(str(Path(__file__).resolve().parents[1] / "bench" / "tracer.py"))
+    missing = [
+        (module, attr) for module, attr, _, _ in tracer["BOUNDARIES"]
+        if not hasattr(importlib.import_module(module), attr)
+    ]
+    assert tracer["BOUNDARIES"] and not missing

@@ -1,8 +1,12 @@
-"""Tests for pole grouping, partial-fraction coefficients, and the
-exponential/rational tail integrals they feed.
+"""Tests for the partial-fraction coefficients and the tail integrals they
+feed, on the mpmath kernels of ``esrsel.partial_fractions``.
 
-Frozen constants are adaptive-quadrature values of the defining integrals,
-committed before the closed forms were written.
+Each case builds the poles of one index tuple (``tuple_poles``), runs the
+kernel at the working precision ``required_dps`` gives it and rounds to
+float.  Exact-form integrals over several poles go through the
+per-pole-set reference's kernels, which recombine the library's
+single-pole integrals.  Frozen constants are adaptive-quadrature values of
+the defining integrals, committed before the closed forms were written.
 """
 
 import math
@@ -14,17 +18,14 @@ import pytest
 from scipy.integrate import quad
 
 from esrsel.errors import ContractError
-from index_algebra import AggregateSums, aggregates_of
-from partial_fractions_float import (
-    eval_J0_exact,
-    eval_J0_highsnr,
-    eval_J1_exact,
-    eval_J1_highsnr,
-    eval_J_asymptotic,
-    expand,
-    group_poles,
+from esrsel.partial_fractions import (
+    j0_highsnr_mp,
+    j1_highsnr_mp,
+    pf_coefficients,
+    required_dps,
+    single_pole_integral_mp,
 )
-from special_functions import upper_incomplete_gamma
+from pole_set_reference import _exact_kernels, tuple_poles
 
 # ∫_1^∞ e^-x / (x (x+1)) dx
 J0_EXACT_SINGLE = 0.08645856473543079
@@ -40,11 +41,47 @@ def rel_err(got, want):
     return abs(got - want) / abs(want)
 
 
-def recombine(expansion, x):
-    val = (expansion.a_coeff or 0.0) / x
-    for loc, t, coeff in expansion.terms:
-        val += coeff / (x + loc) ** t
+def mp_poles(poles):
+    return [(mp.mpf(c), T) for c, T in poles]
+
+
+def expand(poles, with_origin):
+    """Partial fractions of 1/(x^o Π (x+c)^T) as floats: the origin
+    coefficient (None without the origin pole) and (c, t, coefficient of
+    1/(x+c)^t) triples."""
+    with mp.workdps(required_dps(poles)):
+        pf = pf_coefficients(None, with_origin, mp_poles(poles))
+        origin = None if pf.origin is None else float(pf.origin)
+        return origin, [(c, t, float(b)) for (c, _), bs in zip(poles, pf.poles) for t, b in enumerate(bs, 1)]
+
+
+def j_exact(poles, beta, nu=0):
+    """∫_1^∞ x^{ν-1} e^{-βx} dx / Π (x+c)^T; ν = 0 is the origin pole."""
+    with mp.workdps(required_dps(poles, zs=[beta * (1 + c) for c, _ in poles], nu_max=nu)):
+        p = mp_poles(poles)
+        val, _ = _exact_kernels(mp.mpf(beta), [c for c, _ in p])(p)(nu)
+        return float(val)
+
+
+def j_ratio(poles, nu=0, asymptotic=False):
+    """The β = 0 integral, with the λ_D → ∞ substitution 1 + c → c when
+    ``asymptotic``."""
+    with mp.workdps(required_dps(poles, nu_max=nu)):
+        p = mp_poles(poles)
+        val, _ = j0_highsnr_mp(p, asymptotic) if nu == 0 else j1_highsnr_mp(p, nu, asymptotic)
+        return float(val)
+
+
+def rational(poles, x, with_origin):
+    val = 1.0 / x if with_origin else 1.0
+    for c, T in poles:
+        val /= (x + c) ** T
     return val
+
+
+def recombine(expansion, x):
+    origin, terms = expansion
+    return (origin or 0.0) / x + sum(coeff / (x + c) ** t for c, t, coeff in terms)
 
 
 def recombine_term_scale(expansion, x):
@@ -54,100 +91,36 @@ def recombine_term_scale(expansion, x):
     than any single term), so error budgets must be relative to this scale,
     not to the final value.
     """
-    mags = [abs(expansion.a_coeff or 0.0) / x]
-    mags += [abs(coeff) / (x + loc) ** t for loc, t, coeff in expansion.terms]
-    return max(mags)
+    origin, terms = expansion
+    return max([abs(origin or 0.0) / x] + [abs(coeff) / (x + c) ** t for c, t, coeff in terms])
 
 
-def rational(structure, x):
-    val = 1.0 / x if structure.has_origin_pole else 1.0
-    for pole in structure.poles:
-        val /= (x + pole.location) ** pole.total_multiplicity
-    return val
-
-
-def quad_j0_exact(structure, l_tilde, lambda_d):
-    beta = l_tilde / lambda_d
-    f = lambda x: math.exp(-beta * x) * rational(structure, x)
+def quad_j(poles, beta=0.0, nu=0):
+    """Quadrature of the integral ``j_exact`` (``j_ratio`` at β = 0) closes."""
+    f = lambda x: x ** (nu - 1) * math.exp(-beta * x) * rational(poles, x, False)
     val, _ = quad(f, 1.0, np.inf, limit=400, epsabs=1e-13, epsrel=1e-11)
     return val
-
-
-def quad_j1_exact(structure, ag, lambda_d):
-    beta = ag.l_tilde / lambda_d
-    nu = ag.m_tilde - ag.u_tilde
-    f = lambda x: x ** (nu - 1) * math.exp(-beta * x) * rational(structure, x)
-    val, _ = quad(f, 1.0, np.inf, limit=400, epsabs=1e-13, epsrel=1e-11)
-    return val
-
-
-def quad_j0_highsnr(structure):
-    val, _ = quad(lambda x: rational(structure, x), 1.0, np.inf, limit=400, epsabs=1e-13, epsrel=1e-11)
-    return val
-
-
-def quad_j1_highsnr(structure, ag):
-    f = lambda x: x ** (ag.m_tilde - 1) * rational(structure, x)
-    val, _ = quad(f, 1.0, np.inf, limit=400, epsabs=1e-13, epsrel=1e-11)
-    return val
-
-
-class TestGroupPoles:
-    def test_single_factor(self):
-        s = group_poles([1], [0], 1, 1.0, 1.0, True)
-        assert len(s.poles) == 1
-        assert s.poles[0].location == 1.0
-        assert s.poles[0].total_multiplicity == 1
-        assert s.singleton_indices == (0,)
-        assert s.repeated_groups == ()
-        assert s.has_origin_pole
-
-    def test_repeated_group_merges_multiplicity(self):
-        s = group_poles([2, 2], [0, 1], 1, 1.0, 1.0, False)
-        assert len(s.poles) == 1
-        assert s.poles[0].location == 0.5  # λ_D / (2 λ_E)
-        assert s.poles[0].total_multiplicity == 3  # (1+0) + (1+1)
-        assert s.repeated_groups == ((0, 1),)
-        assert s.singleton_indices == ()
-        assert not s.has_origin_pole
-
-    def test_distinct_factors_stay_singletons(self):
-        s = group_poles([1, 2], [0, 0], 2, 1.0, 1.0, False)
-        locs = sorted(p.location for p in s.poles)
-        assert locs == [0.5, 1.0]
-        assert all(p.total_multiplicity == 2 for p in s.poles)
-        assert s.singleton_indices == (0, 1)
-
-    def test_grouping_is_by_integer_l_not_float_location(self):
-        # Same l twice must merge even if other params would make locations
-        # float-equal by accident for different l.
-        s = group_poles([3, 3, 1], [0, 0, 0], 1, 6.0, 2.0, False)
-        by_l = {p.group_l: p for p in s.poles}
-        assert by_l[3].total_multiplicity == 2
-        assert by_l[1].total_multiplicity == 1
 
 
 class TestExpand:
     def test_origin_times_single_pole(self):
-        e = expand(group_poles([1], [0], 1, 2.0, 1.0, True))  # 1/(x(x+2))
-        assert e.a_coeff == pytest.approx(0.5, rel=1e-14)
-        assert dict(((loc, t), c) for loc, t, c in e.terms) == {
-            (2.0, 1): pytest.approx(-0.5, rel=1e-14)
-        }
+        origin, terms = expand(tuple_poles([1], [0], 1, 2.0, 1.0), True)  # 1/(x(x+2))
+        assert origin == pytest.approx(0.5, rel=1e-14)
+        assert {(c, t): coeff for c, t, coeff in terms} == {(2.0, 1): pytest.approx(-0.5, rel=1e-14)}
 
     def test_origin_times_double_pole(self):
-        e = expand(group_poles([1], [1], 1, 1.0, 1.0, True))  # 1/(x(x+1)^2)
-        coeffs = dict(((loc, t), c) for loc, t, c in e.terms)
-        assert e.a_coeff == pytest.approx(1.0, rel=1e-14)
+        e = expand(tuple_poles([1], [1], 1, 1.0, 1.0), True)  # 1/(x(x+1)^2)
+        coeffs = {(c, t): coeff for c, t, coeff in e[1]}
+        assert e[0] == pytest.approx(1.0, rel=1e-14)
         assert coeffs[(1.0, 1)] == pytest.approx(-1.0, rel=1e-14)
         assert coeffs[(1.0, 2)] == pytest.approx(-1.0, rel=1e-14)
         for x in (1.0, 2.0, 3.7):
             assert rel_err(recombine(e, x), 1.0 / (x * (x + 1) ** 2)) < 1e-12
 
     def test_two_simple_poles(self):
-        e = expand(group_poles([1, 3], [0, 0], 1, 3.0, 1.0, False))  # 1/((x+3)(x+1))
-        assert e.a_coeff is None
-        coeffs = dict(((loc, t), c) for loc, t, c in e.terms)
+        origin, terms = expand(tuple_poles([1, 3], [0, 0], 1, 3.0, 1.0), False)  # 1/((x+3)(x+1))
+        assert origin is None
+        coeffs = {(c, t): coeff for c, t, coeff in terms}
         assert coeffs[(1.0, 1)] == pytest.approx(0.5, rel=1e-14)
         assert coeffs[(3.0, 1)] == pytest.approx(-0.5, rel=1e-14)
 
@@ -161,11 +134,11 @@ class TestExpand:
         lam_d = rng.uniform(0.5, 50.0)
         lam_e = rng.uniform(0.5, 5.0)
         with_origin = rng.random() < 0.5
-        structure = group_poles(l_vec, n_hat, m_e, lam_d, lam_e, with_origin)
-        e = expand(structure)
+        poles = tuple_poles(l_vec, n_hat, m_e, lam_d, lam_e)
+        e = expand(poles, with_origin)
         xs = np.linspace(1.5, 50.0, 32)
         for x in xs:
-            want = rational(structure, x)
+            want = rational(poles, x, with_origin)
             scale = max(abs(want), recombine_term_scale(e, x))
             assert abs(recombine(e, x) - want) <= 1e-12 * scale
 
@@ -177,33 +150,31 @@ class TestExpand:
         k = rng.randint(2, 3)
         l_vec = [rng.randint(1, 4) for _ in range(k)]
         n_hat = [rng.randint(0, 2) for _ in range(k)]
-        structure = group_poles(l_vec, n_hat, 1, rng.uniform(1, 20), 1.0, True)
-        degree = 1 + sum(p.total_multiplicity for p in structure.poles)
+        poles = tuple_poles(l_vec, n_hat, 1, rng.uniform(1, 20), 1.0)
+        degree = 1 + sum(T for _, T in poles)
         assert degree >= 2
-        e = expand(structure)
-        total = (e.a_coeff or 0.0) + sum(c for _, t, c in e.terms if t == 1)
-        scale = max([1.0] + [abs(c) for _, _, c in e.terms])
+        origin, terms = expand(poles, True)
+        total = (origin or 0.0) + sum(coeff for _, t, coeff in terms if t == 1)
+        scale = max([1.0] + [abs(coeff) for _, _, coeff in terms])
         assert abs(total) <= 1e-9 * scale
 
 
 class TestJ0Exact:
     def test_single_pole_frozen_value_and_identity(self):
-        s = group_poles([1], [0], 1, 1.0, 1.0, True)
-        got = eval_J0_exact(s, 1, 1.0)
+        got = j_exact(tuple_poles([1], [0], 1, 1.0, 1.0), 1.0)
         assert rel_err(got, J0_EXACT_SINGLE) < 1e-10
         # Independent closed form by partial fractions:
-        want = upper_incomplete_gamma(0, 1.0) - math.e * upper_incomplete_gamma(0, 2.0)
+        want = float(mp.e1(1) - mp.e * mp.e1(2))
         assert rel_err(got, want) < 1e-11
 
     def test_two_distinct_poles_frozen_value(self):
-        s = group_poles([1, 2], [0, 0], 1, 2.0, 1.0, True)
-        got = eval_J0_exact(s, 3, 2.0)
+        poles = tuple_poles([1, 2], [0, 0], 1, 2.0, 1.0)
+        got = j_exact(poles, 3 / 2.0)
         assert rel_err(got, J0_EXACT_TWO_POLE) < 1e-9
-        assert rel_err(got, quad_j0_exact(s, 3, 2.0)) < 1e-9
+        assert rel_err(got, quad_j(poles, 3 / 2.0)) < 1e-9
 
     def test_large_snr_sanity_against_quadrature(self):
-        s = group_poles([1], [0], 1, 1e4, 1.0, True)
-        got = eval_J0_exact(s, 1, 1e4)
+        got = j_exact(tuple_poles([1], [0], 1, 1e4, 1.0), 1 / 1e4)
         with mp.workdps(30):
             want = float(
                 mp.quad(
@@ -212,126 +183,83 @@ class TestJ0Exact:
             )
         assert rel_err(got, want) < 1e-8
 
-    def test_requires_origin_pole(self):
-        s = group_poles([1], [0], 1, 1.0, 1.0, False)
-        with pytest.raises(ContractError):
-            eval_J0_exact(s, 1, 1.0)
-
 
 class TestJ1Exact:
     def test_single_pole_frozen_value_and_identity(self):
-        s = group_poles([1], [0], 1, 1.0, 1.0, False)
-        ag = AggregateSums(
-            l_tilde=1, m_tilde=1, u_tilde=0, m_hat=(1,), n_hat=(0,), u_hat=(0,)
-        )
-        got = eval_J1_exact(s, ag, 1.0, 1.0)
+        got = j_exact(tuple_poles([1], [0], 1, 1.0, 1.0), 1.0, nu=1)
         assert rel_err(got, J1_EXACT_SINGLE) < 1e-10
-        want = math.e * upper_incomplete_gamma(0, 2.0)
+        want = float(mp.e * mp.e1(2))
         assert rel_err(got, want) < 1e-11
 
     def test_equal_l_path_matches_quadrature(self):
-        s = group_poles([1, 1], [0, 0], 1, 1.0, 1.0, False)
-        ag = AggregateSums(
-            l_tilde=2, m_tilde=1, u_tilde=0, m_hat=(1, 0), n_hat=(0, 0), u_hat=(0, 0)
-        )
-        got = eval_J1_exact(s, ag, 1.0, 1.0)
-        assert rel_err(got, quad_j1_exact(s, ag, 1.0)) < 1e-9
+        poles = tuple_poles([1, 1], [0, 0], 1, 1.0, 1.0)
+        got = j_exact(poles, 2.0, nu=1)
+        assert rel_err(got, quad_j(poles, 2.0, nu=1)) < 1e-9
 
     def test_distinct_l_path_matches_quadrature(self):
-        s = group_poles([1, 2], [0, 0], 1, 1.0, 1.0, False)
-        ag = AggregateSums(
-            l_tilde=3, m_tilde=2, u_tilde=0, m_hat=(1, 1), n_hat=(0, 0), u_hat=(0, 0)
-        )
-        got = eval_J1_exact(s, ag, 1.0, 1.0)
-        assert rel_err(got, quad_j1_exact(s, ag, 1.0)) < 1e-9
+        poles = tuple_poles([1, 2], [0, 0], 1, 1.0, 1.0)
+        got = j_exact(poles, 3.0, nu=2)
+        assert rel_err(got, quad_j(poles, 3.0, nu=2)) < 1e-9
 
     def test_zero_power_is_rejected(self):
-        s = group_poles([1], [0], 1, 1.0, 1.0, False)
-        ag = aggregates_of((1,), ((0,),), ((0,),), ((0,),))  # m̃ - ũ = 0
+        # ν = 0 is the origin-pole kernel's case, not the x^{ν-1} kernels'.
         with pytest.raises(ContractError):
-            eval_J1_exact(s, ag, 1.0, 1.0)
-
-    def test_origin_structure_is_rejected(self):
-        s = group_poles([1], [0], 1, 1.0, 1.0, True)
-        ag = AggregateSums(
-            l_tilde=1, m_tilde=1, u_tilde=0, m_hat=(1,), n_hat=(0,), u_hat=(0,)
-        )
+            single_pole_integral_mp(0, 1, mp.mpf(1), mp.mpf(1))
         with pytest.raises(ContractError):
-            eval_J1_exact(s, ag, 1.0, 1.0)
+            j1_highsnr_mp([(mp.mpf(1), 2)], 0)
 
 
 class TestJ0HighSnr:
     def test_single_pole_log_value(self):
-        s = group_poles([1], [0], 1, 1.0, 1.0, True)  # ∫ dx/(x(x+1)) = ln 2
-        assert rel_err(eval_J0_highsnr(s), math.log(2.0)) < 1e-12
+        # ∫ dx/(x(x+1)) = ln 2
+        assert rel_err(j_ratio(tuple_poles([1], [0], 1, 1.0, 1.0)), math.log(2.0)) < 1e-12
 
     def test_two_distinct_poles_frozen_value(self):
-        s = group_poles([1, 2], [0, 0], 1, 2.0, 1.0, True)  # ∫ dx/(x(x+2)(x+1))
-        got = eval_J0_highsnr(s)
+        poles = tuple_poles([1, 2], [0, 0], 1, 2.0, 1.0)  # ∫ dx/(x(x+2)(x+1))
+        got = j_ratio(poles)
         assert rel_err(got, J0_HS_TWO_POLE) < 1e-9
-        assert rel_err(got, quad_j0_highsnr(s)) < 1e-9
+        assert rel_err(got, quad_j(poles)) < 1e-9
 
     def test_near_origin_pole_guard(self):
-        s = group_poles([1], [0], 1, 1e-8, 1.0, True)  # c = 1e-8
-        got = eval_J0_highsnr(s)
+        got = j_ratio(tuple_poles([1], [0], 1, 1e-8, 1.0))  # c = 1e-8
         want, _ = quad(lambda x: 1.0 / (x * (x + 1e-8)), 1.0, np.inf, limit=400)
         assert rel_err(got, want) < 1e-6
 
     def test_repeated_pole_matches_quadrature(self):
-        s = group_poles([2, 2], [0, 1], 1, 1.0, 1.0, True)  # 1/(x (x+0.5)^3)
-        assert rel_err(eval_J0_highsnr(s), quad_j0_highsnr(s)) < 1e-9
+        poles = tuple_poles([2, 2], [0, 1], 1, 1.0, 1.0)  # 1/(x (x+0.5)^3)
+        assert rel_err(j_ratio(poles), quad_j(poles)) < 1e-9
 
 
 class TestJ1HighSnr:
     def test_double_pole_half(self):
-        s = group_poles([1], [1], 1, 1.0, 1.0, False)  # (x+1)^2
-        ag = AggregateSums(
-            l_tilde=1, m_tilde=1, u_tilde=0, m_hat=(1,), n_hat=(1,), u_hat=(0,)
-        )
-        assert rel_err(eval_J1_highsnr(s, ag), 0.5) < 1e-12
+        poles = tuple_poles([1], [1], 1, 1.0, 1.0)  # (x+1)^2
+        assert rel_err(j_ratio(poles, nu=1), 0.5) < 1e-12
 
     def test_triple_pole_eighth(self):
-        s = group_poles([1], [1], 2, 1.0, 1.0, False)  # (x+1)^3
-        ag = AggregateSums(
-            l_tilde=1, m_tilde=1, u_tilde=0, m_hat=(1,), n_hat=(1,), u_hat=(0,)
-        )
-        got = eval_J1_highsnr(s, ag)
+        poles = tuple_poles([1], [1], 2, 1.0, 1.0)  # (x+1)^3
+        got = j_ratio(poles, nu=1)
         assert rel_err(got, 0.125) < 1e-12
-        assert rel_err(got, quad_j1_highsnr(s, ag)) < 1e-9
+        assert rel_err(got, quad_j(poles, nu=1)) < 1e-9
 
     def test_two_distinct_poles(self):
-        s = group_poles([1, 2], [0, 0], 1, 2.0, 1.0, False)  # (x+2)(x+1)
-        ag = AggregateSums(
-            l_tilde=3, m_tilde=1, u_tilde=0, m_hat=(1, 0), n_hat=(0, 0), u_hat=(0, 0)
-        )
-        got = eval_J1_highsnr(s, ag)
+        poles = tuple_poles([1, 2], [0, 0], 1, 2.0, 1.0)  # (x+2)(x+1)
+        got = j_ratio(poles, nu=1)
         assert rel_err(got, math.log(1.5)) < 1e-10
-        assert rel_err(got, quad_j1_highsnr(s, ag)) < 1e-9
+        assert rel_err(got, quad_j(poles, nu=1)) < 1e-9
 
 
 class TestAsymptotic:
     def test_origin_form_approaches_highsnr_at_large_ratio(self):
-        s = group_poles([1], [0], 1, 1e6, 1.0, True)
-        ag = aggregates_of((1,), ((0,),), ((0,),), ((0,),))
-        hs = eval_J0_highsnr(s)
-        asym = eval_J_asymptotic(s, ag, 1e6, 1.0)
-        assert rel_err(asym, hs) < 2e-6
+        poles = tuple_poles([1], [0], 1, 1e6, 1.0)
+        assert rel_err(j_ratio(poles, asymptotic=True), j_ratio(poles)) < 2e-6
 
     def test_tail_form_approaches_highsnr_at_large_ratio(self):
-        s = group_poles([1, 1], [0, 0], 1, 1e6, 1.0, False)
-        ag = AggregateSums(
-            l_tilde=2, m_tilde=1, u_tilde=0, m_hat=(1, 0), n_hat=(0, 0), u_hat=(0, 0)
-        )
-        hs = eval_J1_highsnr(s, ag)
-        asym = eval_J_asymptotic(s, ag, 1e6, 1.0)
-        assert rel_err(asym, hs) < 2e-6
+        poles = tuple_poles([1, 1], [0, 0], 1, 1e6, 1.0)
+        assert rel_err(j_ratio(poles, nu=1, asymptotic=True), j_ratio(poles, nu=1)) < 2e-6
 
     def test_substitution_matters_at_unit_ratio(self):
-        s = group_poles([1], [0], 1, 1.0, 1.0, True)
-        ag = aggregates_of((1,), ((0,),), ((0,),), ((0,),))
-        hs = eval_J0_highsnr(s)
-        asym = eval_J_asymptotic(s, ag, 1.0, 1.0)
-        assert abs(hs - asym) > 0.1
+        poles = tuple_poles([1], [0], 1, 1.0, 1.0)
+        assert abs(j_ratio(poles) - j_ratio(poles, asymptotic=True)) > 0.1
 
 
 class TestStructureSymmetry:
@@ -341,24 +269,17 @@ class TestStructureSymmetry:
             ([2, 1, 2], [0, 1, 2]),
             ([2, 2, 1], [2, 0, 1]),
         ]
-        structures = [
-            group_poles(lv, nh, 2, 3.0, 1.5, True) for lv, nh in variants
-        ]
-        # The pole multiset and origin flag are permutation invariants; the
-        # index bookkeeping (repeated_groups, singleton_indices) refers to
-        # input positions and is allowed to permute along with them.
-        assert structures[0].poles == structures[1].poles == structures[2].poles
-        assert (
-            structures[0].has_origin_pole
-            == structures[1].has_origin_pole
-            == structures[2].has_origin_pole
-        )
-        vals = [eval_J0_exact(s, 5, 3.0) for s in structures]
+        structures = [tuple_poles(lv, nh, 2, 3.0, 1.5) for lv, nh in variants]
+        # The pole multiset is a permutation invariant of the index tuple.
+        assert structures[0] == structures[1] == structures[2]
+        vals = [j_exact(s, 5 / 3.0) for s in structures]
         assert vals[0] == vals[1] == vals[2]
+        # The kernel does not depend on the order it is given the poles in.
+        assert rel_err(j_exact(structures[0][::-1], 5 / 3.0), vals[0]) < 1e-14
 
 
 class TestQuadratureEquivalence:
-    """Randomized spot checks of every evaluator against direct quadrature."""
+    """Randomized spot checks of every kernel against direct quadrature."""
 
     @pytest.mark.parametrize("seed", range(8))
     def test_exact_family(self, seed):
@@ -369,27 +290,16 @@ class TestQuadratureEquivalence:
         m_e = rng.randint(1, 3)
         lam_e = rng.uniform(0.5, 4.0)
         lam_d = lam_e * rng.uniform(0.1, 100.0)
-        l_tilde = sum(l_vec)
-        s0 = group_poles(l_vec, n_hat, m_e, lam_d, lam_e, True)
-        got0 = eval_J0_exact(s0, l_tilde, lam_d)
-        want0 = quad_j0_exact(s0, l_tilde, lam_d)
+        beta = sum(l_vec) / lam_d
+        poles = tuple_poles(l_vec, n_hat, m_e, lam_d, lam_e)
+        got0 = j_exact(poles, beta)
+        want0 = quad_j(poles, beta)
         assert abs(got0 - want0) <= max(1e-8 * abs(want0), 5e-13)
 
-        s1 = group_poles(l_vec, n_hat, m_e, lam_d, lam_e, False)
-        m_hat = tuple(rng.randint(0, 2) for _ in range(k))
-        u_hat = tuple(0 for _ in range(k))
-        m_tilde = sum(m_hat)
+        m_tilde = sum(rng.randint(0, 2) for _ in range(k))
         if m_tilde >= 1:
-            ag = AggregateSums(
-                l_tilde=l_tilde,
-                m_tilde=m_tilde,
-                u_tilde=0,
-                m_hat=m_hat,
-                n_hat=tuple(n_hat),
-                u_hat=u_hat,
-            )
-            got1 = eval_J1_exact(s1, ag, lam_d, lam_e)
-            want1 = quad_j1_exact(s1, ag, lam_d)
+            got1 = j_exact(poles, beta, nu=m_tilde)
+            want1 = quad_j(poles, beta, nu=m_tilde)
             assert abs(got1 - want1) <= max(1e-8 * abs(want1), 5e-13)
 
     @pytest.mark.parametrize("seed", range(8))
@@ -401,22 +311,13 @@ class TestQuadratureEquivalence:
         m_e = rng.randint(1, 3)
         lam_e = rng.uniform(0.5, 4.0)
         lam_d = lam_e * rng.uniform(0.1, 100.0)
-        s0 = group_poles(l_vec, m_hat, m_e, lam_d, lam_e, True)
-        got0 = eval_J0_highsnr(s0)
-        want0 = quad_j0_highsnr(s0)
+        poles = tuple_poles(l_vec, m_hat, m_e, lam_d, lam_e)
+        got0 = j_ratio(poles)
+        want0 = quad_j(poles)
         assert abs(got0 - want0) <= max(1e-8 * abs(want0), 5e-13)
 
         m_tilde = sum(m_hat)
         if m_tilde >= 1:
-            s1 = group_poles(l_vec, m_hat, m_e, lam_d, lam_e, False)
-            ag = AggregateSums(
-                l_tilde=sum(l_vec),
-                m_tilde=m_tilde,
-                u_tilde=0,
-                m_hat=tuple(m_hat),
-                n_hat=tuple(m_hat),
-                u_hat=tuple(0 for _ in range(k)),
-            )
-            got = eval_J1_highsnr(s1, ag)
-            want = quad_j1_highsnr(s1, ag)
+            got = j_ratio(poles, nu=m_tilde)
+            want = quad_j(poles, nu=m_tilde)
             assert abs(got - want) <= max(1e-8 * abs(want), 5e-13)
