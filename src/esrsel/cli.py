@@ -39,7 +39,7 @@ from .esr_engine import (
     esr_ss_exact,
     esr_ss_highsnr,
 )
-from .simulation import _checked_seed, _checked_trials, estimate_esr, quadrature_esr
+from .simulation import _checked_seed, _checked_trials, _usable_cores, estimate_esr, quadrature_esr
 
 CSV_HEADER = (
     "scheme,method,K,L,M_D,M_E,lambda_d_db,lambda_e_db,rho_s,rho_d,rho_e,"
@@ -299,10 +299,10 @@ def _sweep_values(
 def _pool_map(fn: Callable, items: Sequence, jobs: int) -> list:
     """``[fn(x) for x in items]``, in worker processes when ``jobs`` > 1.
 
-    The pool never has more workers than CPUs or items: under the ``fork``
-    start method a pool starts all of its workers at once.
+    The pool never has more workers than usable CPUs or items: under the
+    ``fork`` start method a pool starts all of its workers at once.
     """
-    workers = min(jobs, os.cpu_count() or 1, len(items))
+    workers = min(jobs, _usable_cores(), len(items))
     if workers <= 1:
         return [fn(x) for x in items]
     with ProcessPoolExecutor(max_workers=workers) as pool:

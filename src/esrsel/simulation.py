@@ -15,11 +15,23 @@ Where a link type's paths are i.i.d. (ρ_D = 0, or ρ_E = 0), CN(0, I_M) is
 unitarily invariant, so the M paths of a link collapse into one power:
 S_1 ~ Gamma(M) and S_k = (ρ_S√S_{k−1} + s·a_k)² + s²·b_k² + s²·G_k with
 G_k ~ Gamma(M − 1), and γ = λ·S.  No complex tap and no Kronecker factor is
-formed.  Substreams are counter-based: chunk i uses a Philox generator keyed
-by the two-word key (seed, i) with a fixed chunk size, so estimates are
-bit-reproducible and independent of any parallel scheduling, and no two
-(seed, chunk) pairs share a stream (Salmon et al., "Parallel random
-numbers: as easy as 1, 2, 3", SC'11).
+formed.
+
+Substreams are counter-based: chunk i uses a Philox generator keyed by the
+two-word key (seed, i) with a fixed chunk size, so no two (seed, chunk)
+pairs share a stream (Salmon et al., "Parallel random numbers: as easy as
+1, 2, 3", SC'11).  A chunk of n draws reads its stream in this order: every
+destination draw, then every eavesdropper draw.  Per link type that is, for
+Exp(1) path powers, one (n, …, M) slab per transmitter; for the recursion,
+the first transmitter's Gamma(g) powers, then each later transmitter's
+(a, b) slab, then, for g > 1 only, all the Gamma(g − 1) remainders.  A
+C-order fill is the same stream as its leading-axis slabs filled in turn,
+so these are the values of whole (K, n, …) draws; but each slab is drawn,
+stepped and reduced to its link SNRs before the next, and only g > 1,
+whose groups are one per link, keeps its (a, b) whole.  The chunks of a
+call run on a thread pool of up to one thread per usable core, and their
+sums are added in chunk order, so every estimate is bit-reproducible and
+independent of the thread count.
 
 The quadrature path evaluates C = (1/ln 2) ∫_1^∞ (1 - F(x))/x dx directly
 from the model CDFs with nested adaptive Gauss–Kronrod integration — no
@@ -39,8 +51,10 @@ from __future__ import annotations
 import math
 import numbers
 import operator
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import special as sp
@@ -113,7 +127,7 @@ class _LinkLaw:
     the eigenvalues of the path covariance λ·Toeplitz(ρ).  Otherwise
     ``groups`` = (g_D, g_E) paths per group: each S is the power of g
     i.i.d. unit paths, followed across transmitters with correlation
-    ``rho_S`` by ``_powers``; μ is λ once when g = M, and the eigenvalues
+    ``rho_S`` by ``_link_snrs``; μ is λ once when g = M, and the eigenvalues
     when g = 1."""
 
     rho_S: float
@@ -154,63 +168,78 @@ def _link_law(
     return _LinkLaw(corr.rho_S, groups, mu_d, mu_e)
 
 
-def _innovations(
-    gen: np.random.Generator, k_count: int, shape: Tuple[int, ...], g: int
-) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
-    """Unit draws of one link type for ``_powers``, groups of ``g`` paths
-    shaped ``shape``: the first transmitter's powers, Gamma(g); for each
-    later transmitter, the real and imaginary parts (a, b) ~ N(0, ½) of its
-    innovation along the group's tap vector, on an axis of 2; and the
-    Gamma(g − 1) power of the innovation's other g − 1 dimensions, None when
-    g = 1."""
+def _link_snrs(
+    gen: np.random.Generator,
+    k_count: int,
+    shape: Tuple[int, ...],
+    g: Optional[int],
+    links: Sequence[Tuple[float, np.ndarray]],
+) -> List[np.ndarray]:
+    """γ[n, k, ...] = Σ_i μ_i·S_{k,...,i} of one link type for each (ρ_S, μ)
+    of ``links``, drawn and reduced one transmitter at a time, where
+    ``shape`` = (n, ..., M/g) is one transmitter's slab of unit powers S.
+
+    ``g`` None: the S are Exp(1) path powers, one slab per transmitter.
+    Otherwise each S is the power of g i.i.d. unit paths: S_1 ~ Gamma(g),
+    then, for each later transmitter, the real and imaginary parts
+    (a, b) ~ N(0, ½) of its innovation along the group's tap vector, on an
+    axis of 2, and for g > 1 the Gamma(g − 1) power G of the innovation's
+    other g − 1 dimensions, drawn after all the (a, b).  Each link steps its
+    own S in place, S ← (ρ√S + s·a)² + s²·(b² + G) with s² = 1 − ρ²; the
+    slabs are shared by every link and never written.  Elementwise, so no
+    BLAS threads start."""
+    out = [np.empty(shape[:1] + (k_count,) + shape[1:-1]) for _ in links]
+
+    def reduce(k: int, powers: Sequence[np.ndarray]) -> None:
+        for o, (_, mu), s in zip(out, links, powers):
+            np.einsum("...m,m->...", s, mu, out=o[:, k])
+
+    if g is None:
+        for k in range(k_count):
+            units = gen.standard_exponential(shape)
+            reduce(k, [units] * len(links))
+        return out
     first = gen.standard_gamma(g, shape)
-    parts = gen.normal(0.0, math.sqrt(0.5), (k_count - 1, 2) + shape)
-    rest = gen.standard_gamma(g - 1, (k_count - 1,) + shape) if g > 1 else None
-    return first, parts, rest
-
-
-def _draw_units(
-    gen: np.random.Generator, cfg: SystemConfig, n: int, groups: Optional[Tuple[int, int]]
-) -> Tuple:
-    """Unit draws for the destination and eavesdropper links: Exp(1) path
-    powers shaped (K, n, L, M_D) and (K, n, M_E) when ``groups`` is None,
-    else the ``_innovations`` of groups shaped (n, L, M_D/g_D) and
-    (n, M_E/g_E)."""
-    if groups is None:
-        return (gen.standard_exponential((cfg.K, n, cfg.L, cfg.M_D)),
-                gen.standard_exponential((cfg.K, n, cfg.M_E)))
-    g_d, g_e = groups
-    return (_innovations(gen, cfg.K, (n, cfg.L, cfg.M_D // g_d), g_d),
-            _innovations(gen, cfg.K, (n, cfg.M_E // g_e), g_e))
-
-
-def _powers(units: Tuple, rho: float) -> np.ndarray:
-    """Group powers S[k, ...] over the transmitters from one link type's
-    ``_innovations``: S_1 = first and S_k = (ρ√S_{k−1} + s·a_k)² +
-    s²·(b_k² + G_k), s² = 1 − ρ².  Elementwise, so no BLAS threads start."""
-    first, parts, rest = units
-    s2 = 1.0 - rho * rho
-    lead = parts[:, 0] * math.sqrt(s2)
-    tail = parts[:, 1] * parts[:, 1]
-    if rest is not None:
-        tail += rest
-    tail *= s2
-    out = np.empty((len(parts) + 1,) + first.shape)
-    out[0] = first
-    for k in range(1, len(out)):
-        x = np.sqrt(out[k - 1])
-        x *= rho
-        x += lead[k - 1]
-        np.multiply(x, x, out=out[k])
-        out[k] += tail[k - 1]
+    powers = [first] + [first.copy() for _ in links[1:]]
+    reduce(0, powers)
+    if g > 1 and k_count > 1:
+        parts = gen.normal(0.0, math.sqrt(0.5), (k_count - 1, 2) + shape)
+        rests = gen.standard_gamma(g - 1, (k_count - 1,) + shape)
+    buf = np.empty(shape)
+    for k in range(1, k_count):
+        if g == 1:
+            (a, b), rest = gen.normal(0.0, math.sqrt(0.5), (2,) + shape), None
+        else:
+            (a, b), rest = parts[k - 1], rests[k - 1]
+        for (rho, _), s in zip(links, powers):
+            s2 = 1.0 - rho * rho
+            np.sqrt(s, out=s)
+            s *= rho
+            np.multiply(a, math.sqrt(s2), out=buf)
+            s += buf
+            np.multiply(s, s, out=s)
+            np.multiply(b, b, out=buf)
+            if rest is not None:
+                buf += rest
+            buf *= s2
+            s += buf
+        reduce(k, powers)
+        del a, b  # so the next slab is drawn after this one is freed
     return out
 
 
-def _snrs(law: _LinkLaw, u_d, u_e) -> Tuple[np.ndarray, np.ndarray]:
-    """(γ_D[n, k, l], γ_E[n, k]) from one chunk of unit draws."""
-    if law.groups is not None:
-        u_d, u_e = (_powers(u, law.rho_S) for u in (u_d, u_e))
-    return np.einsum("knlm,m->nkl", u_d, law.mu_d), np.einsum("knm,m->nk", u_e, law.mu_e)
+def _chunk_snrs(
+    gen: np.random.Generator, cfg: SystemConfig, n: int, laws: Sequence[_LinkLaw]
+) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """(γ_D[n, k, l], γ_E[n, k]) of one chunk of ``n`` draws under each of
+    ``laws``, which share their grouping: every destination link first, then
+    the eavesdropper links."""
+    g_d, g_e = laws[0].groups or (None, None)
+    gd = _link_snrs(gen, cfg.K, (n, cfg.L, cfg.M_D // (g_d or 1)), g_d,
+                    [(law.rho_S, law.mu_d) for law in laws])
+    ge = _link_snrs(gen, cfg.K, (n, cfg.M_E // (g_e or 1)), g_e,
+                    [(law.rho_S, law.mu_e) for law in laws])
+    return list(zip(gd, ge))
 
 
 # ---------------------------------------------------------------------------
@@ -236,30 +265,50 @@ def _chunk_rates(gd: np.ndarray, ge: np.ndarray, scheme: str) -> np.ndarray:
 # Monte Carlo estimators
 
 
+def _usable_cores() -> int:
+    """The CPUs this process may run on: its affinity mask where the OS
+    keeps one, else every CPU."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def _mc_mean(
     cfg: SystemConfig,
     trials: int,
     seed: int,
-    groups: Optional[Tuple[int, int]],
-    chunk_values: Callable[..., np.ndarray],
+    laws: Sequence[_LinkLaw],
+    chunk_values: Callable[[List[Tuple[np.ndarray, np.ndarray]]], np.ndarray],
 ) -> McEstimate:
-    """Mean and standard error of ``chunk_values(u_d, u_e)``, the per-draw
-    values of each chunk of unit draws grouped by ``groups`` (see
-    ``_draw_units``), over ``trials`` draws."""
+    """Mean and standard error of ``chunk_values(snrs)`` over ``trials``
+    draws, where ``snrs`` holds each of ``laws``' link SNRs of one chunk
+    (see ``_chunk_snrs``) and the values are per draw.
+
+    The chunks run on a pool of up to one thread per usable core, and one
+    chunk runs on the calling thread; the pool is shut down before this
+    returns, so no thread outlives the call.  The per-chunk sums are added
+    in chunk order, so the estimate does not depend on the thread count."""
     trials = _checked_trials(trials)
     seed = _checked_seed(seed)
+    sizes = [min(CHUNK_SIZE, trials - done) for done in range(0, trials, CHUNK_SIZE)]
+
+    def sums(chunk_index: int) -> Tuple[float, float]:
+        gen = _substream(seed, chunk_index)
+        values = chunk_values(_chunk_snrs(gen, cfg, sizes[chunk_index], laws))
+        return float(values.sum()), float((values * values).sum())
+
+    workers = min(_usable_cores(), len(sizes))
+    if workers <= 1:
+        chunk_sums = [sums(i) for i in range(len(sizes))]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            chunk_sums = list(pool.map(sums, range(len(sizes))))
     total = 0.0
     total_sq = 0.0
-    done = 0
-    chunk_index = 0
-    while done < trials:
-        n = min(CHUNK_SIZE, trials - done)
-        u_d, u_e = _draw_units(_substream(seed, chunk_index), cfg, n, groups)
-        values = chunk_values(u_d, u_e)
-        total += float(values.sum())
-        total_sq += float((values * values).sum())
-        done += n
-        chunk_index += 1
+    for chunk_total, chunk_sq in chunk_sums:
+        total += chunk_total
+        total_sq += chunk_sq
     mean = total / trials
     var = max(0.0, (total_sq - trials * mean * mean) / (trials - 1))
     return McEstimate(mean=mean, stderr=math.sqrt(var / trials), trials=trials, seed=seed)
@@ -274,12 +323,8 @@ def estimate_esr(
 ) -> McEstimate:
     """ESR estimate: mean of [log2 Γ_S]^+ over ``trials`` channel draws."""
     s = _norm_scheme(scheme)
-    groups = _draw_groups(cfg, corr)
-    law = _link_law(cfg, corr, groups)
-    return _mc_mean(
-        cfg, trials, seed, groups,
-        lambda u_d, u_e: _chunk_rates(*_snrs(law, u_d, u_e), s),
-    )
+    law = _link_law(cfg, corr, _draw_groups(cfg, corr))
+    return _mc_mean(cfg, trials, seed, [law], lambda snrs: _chunk_rates(*snrs[0], s))
 
 
 def paired_esr_difference(
@@ -301,13 +346,9 @@ def paired_esr_difference(
     """
     s = _norm_scheme(scheme)
     groups = _draw_groups(cfg, corr_a, corr_b)
-    law_a, law_b = _link_law(cfg, corr_a, groups), _link_law(cfg, corr_b, groups)
-
-    def diff(u_d, u_e) -> np.ndarray:
-        rates_a = _chunk_rates(*_snrs(law_a, u_d, u_e), s)
-        return rates_a - _chunk_rates(*_snrs(law_b, u_d, u_e), s)
-
-    return _mc_mean(cfg, trials, seed, groups, diff)
+    laws = [_link_law(cfg, corr_a, groups), _link_law(cfg, corr_b, groups)]
+    return _mc_mean(cfg, trials, seed, laws,
+                    lambda snrs: _chunk_rates(*snrs[0], s) - _chunk_rates(*snrs[1], s))
 
 
 # ---------------------------------------------------------------------------

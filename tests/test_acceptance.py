@@ -54,7 +54,6 @@ from esrsel.simulation import (
     _link_law,
     _mc_mean,
     _quadrature_esr_ratio_form,
-    _snrs,
     estimate_esr,
     paired_esr_difference,
     quadrature_esr,
@@ -486,12 +485,11 @@ def test_criterion_9_correlation_trends():
     groups = _draw_groups(cfg, iid, CorrelationConfig(rho_S=0.9))
     laws = [_link_law(cfg, c, groups) for c in (iid, CorrelationConfig(rho_S=0.9))]
 
-    def penalty_excess(u_d, u_e):
-        snrs = [_snrs(law, u_d, u_e) for law in laws]
+    def penalty_excess(snrs):
         penalty = {s: _chunk_rates(*snrs[0], s) - _chunk_rates(*snrs[1], s) for s in SCHEMES}
         return penalty["OS"] - penalty["SS"]
 
-    paired = _mc_mean(cfg, trials, 20240915, groups, penalty_excess)
+    paired = _mc_mean(cfg, trials, 20240915, laws, penalty_excess)
     excess, noise = paired.mean, paired.stderr
     assert excess > 5.0 * noise, (excess, noise)
     print(

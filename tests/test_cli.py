@@ -8,13 +8,16 @@ import os
 import shutil
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
 import esrsel
-from esrsel import cli
+from esrsel import cli, simulation
+from esrsel.channel_model import CorrelationConfig, SystemConfig
 from esrsel.cli import CSV_HEADER, figure_preset, main
+from esrsel.simulation import estimate_esr
 
 X1 = 2.1004124800191777  # quadrature value at (1,1,1,1,10,1)
 
@@ -533,7 +536,7 @@ class TestValidate:
 
 
 class TestJobsCap:
-    """A pool never gets more workers than CPUs or rows.  The pool here is a
+    """A pool never gets more workers than usable CPUs or rows.  The pool here is a
     stand-in that records its size and maps in this process, so no worker
     is ever started."""
 
@@ -564,7 +567,7 @@ class TestJobsCap:
     def test_sweep_workers_capped(self, pool_sizes, monkeypatch, capsys, cpus, want):
         _, serial, _ = run_cli(self.SWEEP + ["--jobs", "1"], capsys)
         assert pool_sizes == []
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(cli, "_usable_cores", lambda: cpus)
         code, out, _ = run_cli(self.SWEEP + ["--jobs", "100000"], capsys)
         assert code == 0
         assert pool_sizes == [want]
@@ -572,12 +575,39 @@ class TestJobsCap:
 
     @pytest.mark.parametrize("cpus,want", [(1000, 128), (2, 2)])
     def test_validate_workers_capped(self, pool_sizes, monkeypatch, capsys, cpus, want):
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(cli, "_usable_cores", lambda: cpus)
         monkeypatch.setattr(cli, "_validate_one", lambda task: ("PASS stub", True))
         code, out, _ = run_cli(["validate", "--grid", "small", "--jobs", "100000"], capsys)
         assert code == 0
         assert pool_sizes == [want]
         assert out.count("PASS stub") == 128
+
+
+class TestMonteCarloThreads:
+    def test_jobs_fork_cleanly_after_a_threaded_estimate(self, monkeypatch, capsys):
+        # No chunk thread outlives estimate_esr, so a --jobs pool forked
+        # afterwards starts from a process with no stray thread, and its
+        # workers run their own chunk pools.
+        pools = []
+        pool = simulation.ThreadPoolExecutor
+
+        def recording(max_workers):
+            pools.append(max_workers)
+            return pool(max_workers=max_workers)
+
+        monkeypatch.setattr(simulation, "ThreadPoolExecutor", recording)
+        monkeypatch.setattr(simulation, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
+        before = threading.active_count()
+        estimate_esr(SystemConfig(2, 2, 2, 2, 10.0, 1.0), CorrelationConfig(rho_S=0.5), "OS", 40_000, 3)
+        assert pools == [2]
+        assert threading.active_count() == before
+        sweep = ["sweep", "--var", "lambda_d_db", "--from", "0", "--to", "10", "--step", "5",
+                 "--k", "2", "--l", "2", "--md", "2", "--me", "2", "--rho-s", "0.5",
+                 "--method", "mc", "--trials", "40000"]
+        serial = run_cli(sweep + ["--jobs", "1"], capsys)
+        assert serial[0] == 0 and len(serial[1].splitlines()) == 7
+        assert run_cli(sweep + ["--jobs", "2"], capsys) == serial
 
 
 class TestExitCodes:

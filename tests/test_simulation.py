@@ -7,6 +7,7 @@ complex taps check the transmitter recursion's power steps."""
 
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -17,6 +18,7 @@ from esrsel import simulation
 from esrsel.errors import DomainError, OracleFailureError
 from esrsel.esr_engine import esr_os_exact
 from esrsel.simulation import (
+    CHUNK_SIZE,
     _G21,
     _W21,
     _X21,
@@ -24,10 +26,9 @@ from esrsel.simulation import (
     _draw_groups,
     _gk21,
     _link_law,
+    _link_snrs,
     _mc_mean,
-    _powers,
     _quadrature,
-    _snrs,
     _substream,
     estimate_esr,
     paired_esr_difference,
@@ -232,7 +233,7 @@ def rotation_to_axis(h):
 
 def tap_chain(rho, w):
     """Taps h_k = ρ·h_{k−1} + s·w_k over transmitters k, h_1 = w_1, for
-    innovations ``w`` shaped (K, M), and the unit draws ``_powers`` reads
+    innovations ``w`` shaped (K, M), and the unit draws ``_link_snrs`` reads
     for them: |h_1|², the rotated innovations' (Re, Im) of the first
     coordinate, and the power of the others (None when M = 1)."""
     s = math.sqrt(1.0 - rho * rho)
@@ -254,7 +255,8 @@ def tap_chain(rho, w):
 
 
 def _recording_substream(monkeypatch):
-    """Record (method, args) of every draw the Monte Carlo generators make."""
+    """Record (method, args) of every draw the Monte Carlo generators make,
+    in chunk order: the chunks run on one thread."""
     calls = []
     original = simulation._substream
 
@@ -272,7 +274,44 @@ def _recording_substream(monkeypatch):
             return recorded
 
     monkeypatch.setattr(simulation, "_substream", lambda seed, i: Recorder(original(seed, i)))
+    monkeypatch.setattr(simulation, "_usable_cores", lambda: 1)
     return calls
+
+
+class ScriptedDraws:
+    """A generator stand-in that hands out prescribed unit draws, in order
+    per method, and checks the shape each call asks for."""
+
+    def __init__(self, **queues):
+        self.queues = {name: list(arrays) for name, arrays in queues.items()}
+
+    def _next(self, name, shape):
+        value = self.queues[name].pop(0)
+        assert value.shape == tuple(shape), (name, value.shape, shape)
+        return value.copy()
+
+    def standard_gamma(self, _g, shape):
+        return self._next("standard_gamma", shape)
+
+    def normal(self, _loc, _scale, shape):
+        return self._next("normal", shape)
+
+
+def stepped_powers(units, rho):
+    """The powers S[k, ...] that ``_link_snrs`` steps from the unit draws
+    (first, parts, rest), read as its SNRs with μ = (1,); groups of two
+    paths when ``rest`` is given, of one otherwise.  Every draw is used."""
+    first, parts, rest = units
+    k_count, shape = len(parts) + 1, first.shape + (1,)
+    if rest is None:
+        draws = ScriptedDraws(standard_gamma=[first[..., None]],
+                              normal=[p[..., None] for p in parts])
+    else:
+        draws = ScriptedDraws(standard_gamma=[first[..., None], rest[..., None]],
+                              normal=[parts[..., None]] if k_count > 1 else [])
+    got = _link_snrs(draws, k_count, shape, 1 if rest is None else 2, [(rho, np.ones(1))])[0]
+    assert not any(draws.queues.values()), draws.queues
+    return np.moveaxis(got, 1, 0)
 
 
 def recursion_esr_at_rho_s_zero(cfg, corr, scheme, trials, seed):
@@ -280,8 +319,7 @@ def recursion_esr_at_rho_s_zero(cfg, corr, scheme, trials, seed):
     recursion's draws, grouped as for ``corr`` with ρ_S = 0.9 beside it."""
     groups = _draw_groups(cfg, corr, CorrelationConfig(0.9, corr.rho_D, corr.rho_E))
     law = _link_law(cfg, corr, groups)
-    return _mc_mean(cfg, trials, seed, groups,
-                    lambda u_d, u_e: _chunk_rates(*_snrs(law, u_d, u_e), scheme))
+    return _mc_mean(cfg, trials, seed, [law], lambda snrs: _chunk_rates(*snrs[0], scheme))
 
 
 def z_score(a, b):
@@ -289,14 +327,15 @@ def z_score(a, b):
 
 
 class TestPowerRecursion:
-    """``_powers`` against explicit complex taps, and its edge cases."""
+    """``_link_snrs``' power steps against explicit complex taps, and its
+    edge cases."""
 
     @pytest.mark.parametrize("rho", [0.0, 0.3, 0.9, 0.999])
     def test_path_steps_equal_the_tap_powers(self, rho):
         for trial in range(20):
             w = np.random.default_rng(trial).standard_normal((5, 1, 2)) @ [1.0, 1j]
             want, units = tap_chain(rho, w * math.sqrt(0.5))
-            got = _powers(units, rho)
+            got = stepped_powers(units, rho)
             assert got.shape == (5, 1)
             assert np.allclose(got, want, rtol=1e-12, atol=0.0), (got, want)
 
@@ -306,29 +345,28 @@ class TestPowerRecursion:
         for trial in range(20):
             w = np.random.default_rng(100 * m + trial).standard_normal((4, m, 2)) @ [1.0, 1j]
             want, units = tap_chain(rho, w * math.sqrt(0.5))
-            got = _powers(units, rho)
+            got = stepped_powers(units, rho)
             assert np.allclose(got, want, rtol=1e-12, atol=0.0), (got, want)
 
     def test_steps_run_elementwise_over_draws(self):
         gen = np.random.default_rng(3)
         units = (gen.exponential(size=(5, 2)), gen.normal(size=(3, 2, 5, 2)),
                  gen.gamma(2.0, size=(3, 5, 2)))
-        whole = _powers(units, 0.7)
+        whole = stepped_powers(units, 0.7)
         for i in range(5):
-            alone = _powers(tuple(u[..., i, :] for u in units), 0.7)
+            alone = stepped_powers(tuple(u[..., i, :] for u in units), 0.7)
             assert np.array_equal(whole[:, i], alone)
 
     def test_single_transmitter_takes_no_step(self, monkeypatch):
         cfg = SystemConfig(1, 3, 2, 2, 10.0, 2.0)
         calls = _recording_substream(monkeypatch)
         tx = estimate_esr(cfg, CorrelationConfig(rho_S=0.9), "OS", 20_000, 31)
-        normal_shapes = [args[-1] for name, args in calls if name == "normal"]
-        assert normal_shapes and all(shape[0] == 0 for shape in normal_shapes)
+        assert calls and not any(name == "normal" for name, _ in calls)
         monkeypatch.undo()
         iid = estimate_esr(cfg, IID, "OS", 20_000, 32)
         assert abs(z_score(tx, iid)) <= 5.0
         first = np.array([[1.5, 0.25]])
-        assert np.array_equal(_powers((first, np.empty((0, 2, 1, 2)), None), 0.9), first[None])
+        assert np.array_equal(stepped_powers((first, np.empty((0, 2, 1, 2)), None), 0.9), first[None])
 
     @pytest.mark.parametrize(
         "shape,corr",
@@ -446,7 +484,8 @@ class TestEstimateEsr:
 
 def _sampled_snrs(cfg, corr, trials, seed, monkeypatch, scheme="OS"):
     """The link SNRs ``estimate_esr`` draws, one row per draw: γ_D[k, l]
-    at column k·L + l, then γ_E[k]."""
+    at column k·L + l, then γ_E[k], in chunk order: the chunks run on one
+    thread."""
     rows = []
 
     def keep(gd, ge, scheme):
@@ -455,6 +494,7 @@ def _sampled_snrs(cfg, corr, trials, seed, monkeypatch, scheme="OS"):
 
     with monkeypatch.context() as patch:
         patch.setattr("esrsel.simulation._chunk_rates", keep)
+        patch.setattr("esrsel.simulation._usable_cores", lambda: 1)
         estimate_esr(cfg, corr, scheme, trials, seed)
     return np.concatenate(rows)
 
@@ -596,6 +636,110 @@ class TestPairedDifference:
         d = paired_esr_difference(cfg, IID, CorrelationConfig(rho_D=0.9), "OS", 50000, 7)
         assert d.mean < 0.0  # path correlation raises the ESR here
         assert abs(d.mean) > 5.0 * d.stderr
+
+
+# fig5's six (ρ_S, ρ_D, ρ_E) sets: i.i.d., path-only, transmitter-correlated
+FIG5_SETS = [IID, CorrelationConfig(rho_D=0.9), CorrelationConfig(rho_E=0.9)] + FIG5_TX_SETS
+
+
+def with_cores(monkeypatch, cores, fn, *args):
+    """``fn(*args)`` with ``cores`` usable cores, so up to that many chunk threads."""
+    monkeypatch.setattr(simulation, "_usable_cores", lambda: cores)
+    return fn(*args)
+
+
+class TestChunkThreads:
+    """Chunks run on a thread pool and each is drawn one transmitter at a
+    time; neither may change an estimate."""
+
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        sizes = []
+        pool = simulation.ThreadPoolExecutor
+
+        def recording(max_workers):
+            sizes.append(max_workers)
+            return pool(max_workers=max_workers)
+
+        monkeypatch.setattr(simulation, "ThreadPoolExecutor", recording)
+        return sizes
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [FIG5_CFG, SystemConfig(1, 4, 4, 4, 100.0, FIG5_CFG.lambda_E),
+         SystemConfig(4, 4, 1, 1, 100.0, FIG5_CFG.lambda_E)],
+        ids=["fig5", "k1", "m1"],
+    )
+    def test_estimates_do_not_depend_on_the_thread_count(self, cfg, pool_sizes, monkeypatch):
+        # 40 000 trials are three chunks, the last one short.
+        calls = 0
+        for corr, scheme in itertools.product(FIG5_SETS, ("OS", "SS")):
+            runs = [(estimate_esr, cfg, corr, scheme, 40_000, 23)]
+            if corr != IID:
+                runs.append((paired_esr_difference, cfg, IID, corr, scheme, 40_000, 29))
+            for fn, *args in runs:
+                one = with_cores(monkeypatch, 1, fn, *args)
+                three = with_cores(monkeypatch, 3, fn, *args)
+                assert one == three, (fn.__name__, corr, scheme, one, three)
+                calls += 1
+        assert pool_sizes == [3] * calls
+
+    # estimate_esr(FIG5_CFG, corr, scheme, 40_000, 23).mean per FIG5_SETS
+    # entry, (OS, SS), as drawing every transmitter of a chunk at once gave
+    # it.  Reading a chunk's stream in any other order moves these by about
+    # a standard error (~3·10⁻³); 10⁻¹² leaves room for the last bits of
+    # the platform's log2 only.
+    STREAM_PINS = [
+        (5.238556440698719, 4.791978123603217),
+        (5.651984962053804, 5.330159705691165),
+        (6.0122299604013545, 5.099379628023355),
+        (4.847613624161086, 4.6185424675175435),
+        (5.182770739860822, 5.016124411515622),
+        (5.443922248416214, 4.930592847848517),
+    ]
+
+    def test_per_transmitter_draws_give_the_whole_chunk_values(self, monkeypatch):
+        for corr, pins in zip(FIG5_SETS, self.STREAM_PINS):
+            for scheme, want in zip(("OS", "SS"), pins):
+                got = with_cores(monkeypatch, 2, estimate_esr, FIG5_CFG, corr, scheme, 40_000, 23)
+                assert abs(got.mean - want) <= 1e-12 * want, (corr, scheme, got, want)
+
+    def test_single_chunk_runs_inline(self, pool_sizes, monkeypatch):
+        with_cores(monkeypatch, 3, estimate_esr, FIG5_CFG, FIG5_TX_SETS[1], "OS", CHUNK_SIZE, 5)
+        assert pool_sizes == []
+
+    def test_slab_draws_continue_the_whole_array_stream(self):
+        # The per-transmitter draws rest on this: a C-order fill from one
+        # Philox key is its leading-axis slabs filled one after another.
+        k, n, l, m = 4, 1000, 3, 2
+        whole, slabs = _substream(7, 3), _substream(7, 3)
+        assert np.array_equal(whole.standard_exponential((k, n, l, m)),
+                              [slabs.standard_exponential((n, l, m)) for _ in range(k)])
+        assert np.array_equal(whole.standard_gamma(3, (n, l, 1)), slabs.standard_gamma(3, (n, l, 1)))
+        sd = math.sqrt(0.5)
+        assert np.array_equal(whole.normal(0.0, sd, (k - 1, 2, n, l, m)),
+                              [slabs.normal(0.0, sd, (2, n, l, m)) for _ in range(k - 1)])
+        # An empty draw takes nothing from the stream, so K = 1 may skip it.
+        whole.normal(0.0, sd, (0, 2, n, l, m))
+        whole.standard_gamma(2, (0, n, l, 1))
+        assert np.array_equal(whole.standard_exponential(64), slabs.standard_exponential(64))
+
+    # tracemalloc peak of this chunk when every unit draw of the chunk was
+    # held at once, with a (K, n, L, M) power array: 39.25 MiB with numpy
+    # 2.4.6.  Transmitter by transmitter it is 10.0 MiB.  Drawing the K − 1
+    # innovation slabs whole again would add about 8 MiB and still pass half
+    # of the whole-chunk peak, so the bound is 30% of it.
+    WHOLE_CHUNK_PEAK_MIB = 39.25
+
+    def test_one_chunk_holds_one_transmitter_of_draws(self, monkeypatch):
+        monkeypatch.setattr(simulation, "_usable_cores", lambda: 1)
+        tracemalloc.start()
+        try:
+            estimate_esr(FIG5_CFG, FIG5_TX_SETS[1], "OS", CHUNK_SIZE, 20241201)
+            peak = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.3 * self.WHOLE_CHUNK_PEAK_MIB, peak
 
 
 class TestQuadratureEsr:
