@@ -39,7 +39,14 @@ from .esr_engine import (
     esr_ss_exact,
     esr_ss_highsnr,
 )
-from .simulation import _checked_seed, _checked_trials, _usable_cores, estimate_esr, quadrature_esr
+from .simulation import (
+    _checked_seed,
+    _checked_trials,
+    _share_cores,
+    _usable_cores,
+    estimate_esr,
+    quadrature_esr,
+)
 
 CSV_HEADER = (
     "scheme,method,K,L,M_D,M_E,lambda_d_db,lambda_e_db,rho_s,rho_d,rho_e,"
@@ -300,12 +307,14 @@ def _pool_map(fn: Callable, items: Sequence, jobs: int) -> list:
     """``[fn(x) for x in items]``, in worker processes when ``jobs`` > 1.
 
     The pool never has more workers than usable CPUs or items: under the
-    ``fork`` start method a pool starts all of its workers at once.
+    ``fork`` start method a pool starts all of its workers at once.  Each
+    worker's Monte Carlo chunk threads take its share of the usable CPUs,
+    at least one.
     """
     workers = min(jobs, _usable_cores(), len(items))
     if workers <= 1:
         return [fn(x) for x in items]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=workers, initializer=_share_cores, initargs=(workers,)) as pool:
         return list(pool.map(fn, items))
 
 

@@ -34,6 +34,7 @@ import math
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import mpmath as mp
+from mpmath.libmp import from_int, mpf_mul, mpf_sum
 
 from .errors import ContractError, DomainError
 
@@ -126,10 +127,12 @@ def required_dps(
 
 
 def _mag_ln(x: mp.mpf) -> float:
-    """Upper bound on ln|x| (-inf for zero)."""
-    if not x:
-        return -math.inf
-    return float(mp.mag(x)) * _LN2
+    """Upper bound on ln|x| (-inf for zero): |x| ≤ 2^(exp + bc), read off
+    the mantissa's exponent and bit count as ``mp.mag`` does."""
+    _, man, exp, bc = x._mpf_
+    if man:
+        return (exp + bc) * _LN2
+    return -math.inf if not x else float(mp.mag(x)) * _LN2
 
 
 def _ln(x: mp.mpf) -> float:
@@ -156,12 +159,26 @@ def _binom(e: int, k: int) -> int:
 Terms = List[Tuple[mp.mpf, mp.mpf, float]]
 
 
+def _raw(x) -> tuple:
+    """The libmp value of an mpf or an int; any other type raises."""
+    try:
+        return x._mpf_
+    except AttributeError:
+        if type(x) is int:
+            return from_int(x)
+        raise TypeError(f"expected an mpf or an int, got {type(x).__name__}") from None
+
+
 def _dot(terms: Terms) -> Tuple[mp.mpf, float]:
-    """Σ a·b rounded once, with its envelope (largest term plus log count)."""
+    """Σ a·b rounded once, with its envelope (largest term plus log count).
+
+    What ``mp.fdot`` computes for real operands: exact products, one sum
+    rounded at the working precision."""
     if not terms:
         return mp.mpf(0), -math.inf
-    value = mp.fdot([(a, b) for a, b, _ in terms])
-    return value, max(e for _, _, e in terms) + math.log(len(terms))
+    prec, rnd = mp.mp._prec_rounding
+    value = mpf_sum([mpf_mul(_raw(a), _raw(b)) for a, b, _ in terms], prec, rnd)
+    return mp.mp.make_mpf(value), max(e for _, _, e in terms) + math.log(len(terms))
 
 
 def _dots(term_lists: Sequence[Terms]) -> Tuple[List[mp.mpf], List[float]]:

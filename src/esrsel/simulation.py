@@ -44,6 +44,9 @@ inner integrals of all its new nodes as one batch, so no scalar integrand
 call and no ``scipy.integrate`` routine remains.  All probability quantities
 are assembled from survival functions (gammaincc / expm1 / log1p) so that
 1 - F keeps full relative accuracy even when F is within 1e-15 of one.
+``scipy.special`` (gammaincc and its inverse) is imported by the first
+quadrature call, not with this module: the closed forms and Monte Carlo
+never use it, and it is about half of a fresh process's import time.
 """
 
 from __future__ import annotations
@@ -57,7 +60,6 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import special as sp
 
 from .channel_model import CorrelationConfig, SystemConfig
 from .errors import DomainError, OracleFailureError
@@ -274,6 +276,18 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
+# Processes that share the usable cores, this one included: 1, except in a
+# worker of a process pool started with ``_share_cores`` as its initializer.
+_core_sharers = 1
+
+
+def _share_cores(processes: int) -> None:
+    """Process-pool initializer: this worker is one of ``processes`` that
+    run at once, so its chunk pools take its share of the usable cores."""
+    global _core_sharers
+    _core_sharers = processes
+
+
 def _mc_mean(
     cfg: SystemConfig,
     trials: int,
@@ -285,10 +299,12 @@ def _mc_mean(
     draws, where ``snrs`` holds each of ``laws``' link SNRs of one chunk
     (see ``_chunk_snrs``) and the values are per draw.
 
-    The chunks run on a pool of up to one thread per usable core, and one
-    chunk runs on the calling thread; the pool is shut down before this
-    returns, so no thread outlives the call.  The per-chunk sums are added
-    in chunk order, so the estimate does not depend on the thread count."""
+    The chunks run on a pool of up to one thread per usable core, or per
+    core of this process's share in a worker pool (``_share_cores``); with
+    one chunk, or one thread to run it, every chunk runs on the calling
+    thread instead.  The pool is shut down before this returns, so no thread
+    outlives the call.  The per-chunk sums are added in chunk order, so the
+    estimate does not depend on the thread count."""
     trials = _checked_trials(trials)
     seed = _checked_seed(seed)
     sizes = [min(CHUNK_SIZE, trials - done) for done in range(0, trials, CHUNK_SIZE)]
@@ -298,7 +314,7 @@ def _mc_mean(
         values = chunk_values(_chunk_snrs(gen, cfg, sizes[chunk_index], laws))
         return float(values.sum()), float((values * values).sum())
 
-    workers = min(_usable_cores(), len(sizes))
+    workers = min(_usable_cores() // _core_sharers, len(sizes))
     if workers <= 1:
         chunk_sums = [sums(i) for i in range(len(sizes))]
     else:
@@ -483,6 +499,8 @@ def _quadrature(
             f"need finite tolerances >= 0, one of them positive; got epsabs={epsabs!r}, "
             f"epsrel={epsrel!r}"
         )
+    from scipy import special as sp  # here, not at the top: no other route needs scipy
+
     scheme = _norm_scheme(scheme)
     k_eff, l_eff = (cfg.K, cfg.L) if scheme == "OS" else (1, cfg.K * cfg.L)
     lam_d, lam_e = cfg.lambda_D, cfg.lambda_E

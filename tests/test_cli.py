@@ -4,6 +4,7 @@ config-file merging, and exit codes."""
 import csv
 import importlib
 import io
+import multiprocessing
 import os
 import shutil
 import subprocess
@@ -548,7 +549,8 @@ class TestJobsCap:
         sizes = []
 
         class RecordingPool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, initializer, initargs):
+                assert (initializer, initargs) == (simulation._share_cores, (max_workers,))
                 sizes.append(max_workers)
 
             def __enter__(self):
@@ -608,6 +610,67 @@ class TestMonteCarloThreads:
         serial = run_cli(sweep + ["--jobs", "1"], capsys)
         assert serial[0] == 0 and len(serial[1].splitlines()) == 7
         assert run_cli(sweep + ["--jobs", "2"], capsys) == serial
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="the stand-ins below reach the workers only by fork")
+    def test_jobs_workers_split_the_cores(self, monkeypatch, capsys, tmp_path):
+        # With 4 usable cores, each of the 2 workers of --jobs 2 runs its
+        # three chunks on 4 // 2 threads, not 3.  A worker's memory is its
+        # own, so each pool's size goes to a file.
+        log = tmp_path / "pools"
+        pool = simulation.ThreadPoolExecutor
+
+        def recording(max_workers):
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()} {max_workers}\n")
+            return pool(max_workers=max_workers)
+
+        monkeypatch.setattr(simulation, "ThreadPoolExecutor", recording)
+        monkeypatch.setattr(simulation, "_usable_cores", lambda: 4)
+        monkeypatch.setattr(cli, "_usable_cores", lambda: 4)
+        sweep = ["sweep", "--var", "lambda_d_db", "--from", "0", "--to", "15", "--step", "5",
+                 "--scheme", "os", "--method", "mc", "--trials", "40000"]  # 4 rows
+        code, out, _ = run_cli(sweep + ["--jobs", "2"], capsys)
+        assert code == 0 and len(out.splitlines()) == 5
+        pools = [line.split() for line in log.read_text(encoding="utf-8").splitlines()]
+        assert [size for _, size in pools] == ["2"] * 4
+        pids = {pid for pid, _ in pools}
+        assert str(os.getpid()) not in pids and len(pids) <= 2
+
+
+# Runs one row of each method but quadrature through compute_row, then a
+# quadrature row; prints each row, and whether scipy.special is loaded after
+# the first four and after the quadrature row.  With the argument "first" it
+# imports scipy.special before esrsel.
+COLD_START = """
+import sys
+from dataclasses import replace
+if sys.argv[1] == "first":
+    import scipy.special
+import esrsel
+import esrsel.cli as cli
+point = cli.RowSpec("os", "exact", 2, 2, 2, 2, 10.0, 0.0, 0.0, 0.0, 0.0, 20_000, 7)
+for method in ("exact", "highsnr", "asymptotic", "mc"):
+    print(cli.compute_row(replace(point, method=method)))
+print("scipy.special" in sys.modules)
+print(cli._evaluate(replace(point, method="quadrature")).value.hex())
+print("scipy.special" in sys.modules)
+"""
+
+
+class TestColdStart:
+    def test_only_quadrature_loads_scipy(self):
+        src = str(Path(esrsel.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        lazy, first = (
+            subprocess.run([sys.executable, "-c", COLD_START, order], capture_output=True,
+                           text=True, timeout=120, env=env, check=True).stdout.splitlines()
+            for order in ("lazy", "first")
+        )
+        assert lazy[4:] == ["False", first[5], "True"]
+        assert first[4] == "True"
+        assert lazy[:4] == first[:4] and lazy[5] == first[5]
 
 
 class TestExitCodes:

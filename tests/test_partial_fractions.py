@@ -19,6 +19,8 @@ from scipy.integrate import quad
 
 from esrsel.errors import ContractError
 from esrsel.partial_fractions import (
+    _dot,
+    _mag_ln,
     j0_highsnr_mp,
     j1_highsnr_mp,
     pf_coefficients,
@@ -321,3 +323,47 @@ class TestQuadratureEquivalence:
             got = j_ratio(poles, nu=m_tilde)
             want = quad_j(poles, nu=m_tilde)
             assert abs(got - want) <= max(1e-8 * abs(want), 5e-13)
+
+
+def random_operand(rng):
+    """An mpf over a wide exponent range, a zero or an int of up to 200 bits,
+    either sign."""
+    kind = rng.random()
+    if kind < 0.1:
+        return rng.choice([mp.mpf(0), 0])
+    if kind < 0.3:
+        return rng.choice([-1, 1]) * rng.getrandbits(rng.randint(1, 200))
+    return mp.mpf(rng.choice([-1, 1]) * rng.random()) * mp.mpf(2) ** rng.randint(-300, 300) / 3
+
+
+class TestDot:
+    """``_dot`` and ``_mag_ln`` read mpmath's raw values; they must give
+    ``mp.fdot``'s and ``mp.mag``'s results bit for bit."""
+
+    @pytest.mark.parametrize("dps", [15, 53, 120])
+    def test_dot_is_fdot(self, dps):
+        rng = random.Random(dps)
+        with mp.workdps(dps):
+            for n in (1, 2, 7, 40):
+                for _ in range(25):
+                    pairs = [(random_operand(rng), random_operand(rng)) for _ in range(n)]
+                    envelopes = [rng.uniform(-50.0, 50.0) for _ in range(n)]
+                    value, envelope = _dot([(a, b, e) for (a, b), e in zip(pairs, envelopes)])
+                    assert type(value) is mp.mpf
+                    assert value._mpf_ == mp.fdot(pairs)._mpf_
+                    assert envelope == max(envelopes) + math.log(n)
+            assert _dot([]) == (0, -math.inf)
+
+    @pytest.mark.parametrize("bad", [1.5, mp.mpc(1, 2), np.float64(2.0), True], ids=["float", "mpc", "numpy", "bool"])
+    def test_dot_refuses_other_types(self, bad):
+        with pytest.raises(TypeError):
+            _dot([(mp.mpf(1), bad, 0.0)])
+        with pytest.raises(TypeError):
+            _dot([(bad, 3, 0.0)])
+
+    def test_mag_ln_is_mag(self):
+        rng = random.Random(5)
+        values = [random_operand(rng) for _ in range(400)]
+        for x in [mp.mpf(v) for v in values] + [mp.mpf(0), mp.mpf(1), mp.mpf(-0.5), mp.inf]:
+            want = -math.inf if not x else float(mp.mag(x)) * math.log(2.0)
+            assert _mag_ln(x) == want, x

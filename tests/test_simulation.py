@@ -704,6 +704,18 @@ class TestChunkThreads:
                 got = with_cores(monkeypatch, 2, estimate_esr, FIG5_CFG, corr, scheme, 40_000, 23)
                 assert abs(got.mean - want) <= 1e-12 * want, (corr, scheme, got, want)
 
+    @pytest.mark.parametrize("cores,sharers,want", [(4, 2, [2]), (5, 2, [2]), (3, 2, []), (1, 2, [])])
+    def test_a_pool_worker_takes_its_share_of_the_cores(self, pool_sizes, monkeypatch, cores, sharers, want):
+        # A worker of a pool of ``sharers`` processes starts at most
+        # cores // sharers chunk threads, and no pool for fewer than two.
+        alone = with_cores(monkeypatch, cores, estimate_esr, FIG5_CFG, FIG5_TX_SETS[1], "OS", 40_000, 5)
+        monkeypatch.setattr(simulation, "_core_sharers", 1)
+        simulation._share_cores(sharers)
+        del pool_sizes[:]
+        shared = with_cores(monkeypatch, cores, estimate_esr, FIG5_CFG, FIG5_TX_SETS[1], "OS", 40_000, 5)
+        assert pool_sizes == want
+        assert shared == alone
+
     def test_single_chunk_runs_inline(self, pool_sizes, monkeypatch):
         with_cores(monkeypatch, 3, estimate_esr, FIG5_CFG, FIG5_TX_SETS[1], "OS", CHUNK_SIZE, 5)
         assert pool_sizes == []
