@@ -484,7 +484,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     p_val = sub.add_parser("validate", help="closed forms vs quadrature vs mc")
     p_val.add_argument("--grid", choices=["small", "full"], default="small")
-    p_val.add_argument("--jobs", type=_jobs, default=1)
+    p_val.add_argument("--jobs", type=_jobs, default=1,
+                       help="worker processes for multi-row runs (at least 1)")
 
     for p, run in ((p_esr, _cmd_rows), (p_sweep, _cmd_rows), (p_fig, _cmd_figure),
                    (p_val, _cmd_validate)):

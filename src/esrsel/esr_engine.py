@@ -5,7 +5,10 @@ the CDF of the post-selection SNR ratio.  For optimal selection (OS),
 1 - F = 1 - (1 - Q)^K with Q = Σ_l z^l V_l(x): V_l is the member table of
 subset size l, with one pole at -χ_l = -λ_D/(l λ_E), and z = e^{-x/λ_D}.
 The tables collapse the enumerated index sums into convolution powers of
-per-branch atoms (Vandermonde identities), at polynomial cost.
+per-branch atoms (Vandermonde identities), at polynomial cost.  Each is
+built directly in the format ``pf_selection`` reads, a list of rows
+(``partial_fractions.Factor``): row n̂, of pole order M_E + n̂, maps d̂ to
+the coefficient of x^d̂.
 
 There is one assembly, ``_terms``.  One ``pf_selection`` call decomposes
 the whole integrand, one truncated expansion per pole, grade by grade in z,
@@ -25,14 +28,15 @@ is too small.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, Tuple
+from typing import Callable, Dict, List, Tuple
 
 import mpmath as mp
 
 from .channel_model import SystemConfig
 from .errors import CancellationError, ComplexityBudgetError, DomainError
-from .partial_fractions import _MAX_DPS, _close_exact, _GammaTable, _log_rational_assembly, pf_selection, required_dps
+from .partial_fractions import _MAX_DPS, Factor, _close_exact, _GammaTable, _log_rational_assembly, pf_selection, required_dps
 
 # Not called here; imported only so that bench/tracer.py's BOUNDARIES resolve.
 from .partial_fractions import j0_exact_mp, j0_highsnr_mp, j1_highsnr_mp, pf_coefficients, single_pole_integral_mp  # noqa: F401
@@ -90,36 +94,28 @@ def _norm_scheme(scheme: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# integer helpers and table convolution
-
-
-def _poch(a: int, n: int) -> int:
-    out = 1
-    for i in range(n):
-        out *= a + i
-    return out
-
-
-def _conv2(
-    a: Dict[Tuple[int, int], mp.mpf], b: Dict[Tuple[int, int], mp.mpf]
-) -> Dict[Tuple[int, int], mp.mpf]:
-    out: Dict[Tuple[int, int], mp.mpf] = {}
-    for (i1, j1), va in sorted(a.items()):
-        for (i2, j2), vb in sorted(b.items()):
-            key = (i1 + i2, j1 + j2)
-            out[key] = out.get(key, 0) + va * vb
-    return out
-
-
-# ---------------------------------------------------------------------------
 # weight tables (all built inside an mp working-precision context)
 
 
-def _w1_table(M_D: int, lam_D: mp.mpf) -> Dict[Tuple[int, int], mp.mpf]:
-    """Per-branch atoms keyed (n, d): coefficient of y^n x^d after expanding
-    (x(1+y)-1)^m / (λ_D^m m!) over 0 ≤ m < M_D."""
-    out: Dict[Tuple[int, int], mp.mpf] = {}
+def _conv2(a: Factor, b: Factor) -> Factor:
+    """The product of two tables of rows (row n̂ maps d̂ to the coefficient
+    of y^n̂ x^d̂): rows add their n̂, entries add their d̂."""
+    out: List[Dict[int, mp.mpf]] = [{} for _ in range(len(a) + len(b) - 1)]
+    for n1, row1 in enumerate(a):
+        for d1, va in sorted(row1.items()):
+            for n2, row2 in enumerate(b):
+                row = out[n1 + n2]
+                for d2, vb in sorted(row2.items()):
+                    row[d1 + d2] = row.get(d1 + d2, 0) + va * vb
+    return out
+
+
+def _w1_table(M_D: int, lam_D: mp.mpf) -> Factor:
+    """Per-branch atoms as rows: row n maps d to the coefficient of y^n x^d
+    after expanding (x(1+y)-1)^m / (λ_D^m m!) over 0 ≤ m < M_D."""
+    out: List[Dict[int, mp.mpf]] = []
     for n in range(M_D):
+        row = {}
         for d in range(n, M_D):
             acc = mp.mpf(0)
             for m in range(d, M_D):
@@ -130,48 +126,44 @@ def _w1_table(M_D: int, lam_D: mp.mpf) -> Dict[Tuple[int, int], mp.mpf]:
                     * mp.power(lam_D, n - m)
                     / math.factorial(m)
                 )
-            out[(n, d)] = acc
+            row[d] = acc
+        out.append(row)
     return out
 
 
-def _v_tables(cfg: SystemConfig, exact: bool, lam_D: mp.mpf, lam_E: mp.mpf):
-    """Member tables V_l keyed (n̂, d̂) for subset sizes l = 1..L.
+def _v_tables(cfg: SystemConfig, exact: bool, lam_D: mp.mpf, lam_E: mp.mpf) -> List[Factor]:
+    """Member tables [V_1, …, V_L], V_l the rows ``pf_selection`` reads over
+    the pole −λ_D/(l λ_E): row n̂, of pole order M_E + n̂, maps d̂ to the
+    coefficient of x^d̂.  V_l is the l-th ``_conv2`` power of the atoms, so
+    it has l·(M_D − 1) + 1 rows, and each row is scaled once.
 
     The ratio form is the exact form at β = 0: its argument x·y is
     x(1+y) − 1 without the x − 1 part, so its atoms y^m x^m / m! sit on the
-    diagonal n̂ = d̂.  The x − 1 part is also what gives e^{-βx} and the
+    diagonal d̂ = n̂.  The x − 1 part is also what gives e^{-βx} and the
     e^{l/λ_D} factor, so both drop out.
     """
     L, M_E = cfg.L, cfg.M_E
     if exact:
         w1 = _w1_table(cfg.M_D, lam_D)
     else:
-        w1 = {(m, m): mp.mpf(1) / math.factorial(m) for m in range(cfg.M_D)}
+        w1 = [{m: mp.mpf(1) / math.factorial(m)} for m in range(cfg.M_D)]
     lamd_me = mp.power(lam_D, M_E)
     lame_me = mp.power(lam_E, M_E)
-    out: Dict[int, Dict[Tuple[int, int], mp.mpf]] = {}
+    out = []
     wl = None
     for l in range(1, L + 1):
         wl = w1 if wl is None else _conv2(wl, w1)
         sign_binom = (-1) ** (l + 1) * math.comb(L, l)
         e_l = mp.exp(mp.mpf(l) / lam_D) if exact else None
-        tab, scale = {}, {}  # scale depends on n̂ only
-        for (n, d), v in sorted(wl.items()):
-            if n not in scale:
-                s = sign_binom * lamd_me * _poch(M_E, n)
-                if exact:
-                    s *= e_l
-                scale[n] = s / (lame_me * mp.power(mp.mpf(l), M_E + n))
-            tab[(n, d)] = scale[n] * v
-        out[l] = tab
+        tab = []
+        for n, row in enumerate(wl):
+            s = sign_binom * lamd_me * math.perm(M_E + n - 1, n)
+            if exact:
+                s *= e_l
+            scale = s / (lame_me * mp.power(mp.mpf(l), M_E + n))
+            tab.append({d: scale * v for d, v in sorted(row.items())})
+        out.append(tab)
     return out
-
-
-def _rows_by_first(table: Dict[Tuple[int, int], mp.mpf]) -> Dict[int, Dict[int, mp.mpf]]:
-    rows: Dict[int, Dict[int, mp.mpf]] = {}
-    for (n, d), v in sorted(table.items()):
-        rows.setdefault(n, {})[d] = v
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -265,11 +257,8 @@ def _terms(cfg: SystemConfig, form: str) -> Tuple[mp.mpf, int, float]:
     """
     exact = form == "exact"
     lam_D, lam_E = mp.mpf(cfg.lambda_D), mp.mpf(cfg.lambda_E)
-    factors, poles = [], []
-    for l, table in _v_tables(cfg, exact, lam_D, lam_E).items():
-        rows = _rows_by_first(table)
-        factors.append([rows.get(n, {}) for n in range(max(rows) + 1)])
-        poles.append((lam_D / (l * lam_E), cfg.M_E + max(rows)))
+    factors = _v_tables(cfg, exact, lam_D, lam_E)
+    poles = [(lam_D / (l * lam_E), cfg.M_E + len(rows) - 1) for l, rows in enumerate(factors, 1)]
     cs = [c for c, _ in poles]
     pfs = pf_selection(factors, poles, cfg.K, exact)
     tables: Dict[object, _GammaTable] = {}
@@ -300,6 +289,12 @@ def _as_single_transmitter(cfg: SystemConfig) -> SystemConfig:
 
 def _evaluate(cfg: SystemConfig, scheme: str, form: str, budget: int) -> EsrResult:
     """One closed-form ESR, with SS evaluated as OS(1, K·L)."""
+    try:
+        ok = operator.index(budget) >= 0
+    except TypeError:
+        ok = False
+    if not ok:
+        raise DomainError(f"budget must be an integer >= 0, got {budget!r}")
     os_cfg = cfg if scheme == "OS" else _as_single_transmitter(cfg)
     exact = form == "exact"
     work = _work(os_cfg, exact)

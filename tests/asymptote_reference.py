@@ -38,16 +38,9 @@ def _beta(a: int, b: int) -> Fraction:
     return Fraction(math.factorial(a - 1) * math.factorial(b - 1), math.factorial(a + b - 1))
 
 
-def _poch(a: int, n: int) -> int:
-    out = 1
-    for i in range(n):
-        out *= a + i
-    return out
-
-
 def _os_rational(K: int, M_D: int, M_E: int) -> Fraction:
     """Σ_k (-1)^{k+1} C(K, k) ψ_k of the OS L = 1 offset."""
-    base = {m: Fraction(_poch(M_E, m), math.factorial(m)) for m in range(M_D)}
+    base = {m: Fraction(math.perm(M_E + m - 1, m), math.factorial(m)) for m in range(M_D)}
     acc = Fraction(0)
     w_tab = None
     for k in range(1, K + 1):

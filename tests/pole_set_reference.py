@@ -8,9 +8,13 @@ K-th power), walks ``product`` over each group's row index n_g, convolves
 the chosen rows into one weight table over ν, and calls one kernel per
 (pole set, ν), with the single-pole integrals φ cached per composition.
 
+Its weight tables are the library's own rows (row n̂ maps d̂ to a
+coefficient), and the c-th power of V_l is ``_conv2``'s.
+
 Below it, the index tuples behind the weight tables, walked literally: one
-term per choice of (m, n, u) on every path of a subset member, the power of
-a keyed table as a walk over its key tuples (the reference for ``_conv2``),
+term per choice of (m, n, u) on every path of a subset member, keyed
+(n̂, d̂), the power of a set of keyed terms as a walk over its key tuples
+(the reference for ``_conv2``), ``flat`` to key a table's rows the same way,
 and the normalisation sum Ξ.
 """
 
@@ -24,8 +28,9 @@ from typing import Callable, Dict, Iterable, Iterator, List, Tuple
 import mpmath as mp
 
 from esrsel.channel_model import SystemConfig
-from esrsel.esr_engine import _conv2, _rows_by_first, _v_tables
+from esrsel.esr_engine import _conv2, _v_tables
 from esrsel.partial_fractions import (
+    Factor,
     _GammaTable,
     _mag_ln,
     j0_exact_mp,
@@ -143,15 +148,13 @@ def terms_per_pole_set(cfg: SystemConfig, form: str) -> Tuple[mp.mpf, int, float
     M_E = cfg.M_E
     lam_D, lam_E = mp.mpf(cfg.lambda_D), mp.mpf(cfg.lambda_E)
     v_tabs = _v_tables(cfg, exact, lam_D, lam_E)
-    u_cache: Dict[Tuple[int, int], Dict[Tuple[int, int], mp.mpf]] = {}
+    u_cache: Dict[Tuple[int, int], Factor] = {}
 
-    def u_rows(l: int, c: int) -> Dict[int, Dict[int, mp.mpf]]:
+    def u_rows(l: int, c: int) -> Factor:
         key = (l, c)
         if key not in u_cache:
-            u_cache[key] = (
-                v_tabs[l] if c == 1 else _conv2(u_cache[(l, c - 1)], v_tabs[l])
-            )
-        return _rows_by_first(u_cache[key])
+            u_cache[key] = v_tabs[l - 1] if c == 1 else _conv2(u_cache[(l, c - 1)], v_tabs[l - 1])
+        return u_cache[key]
 
     total = mp.mpf(0)
     n_terms = 0
@@ -164,7 +167,7 @@ def terms_per_pole_set(cfg: SystemConfig, form: str) -> Tuple[mp.mpf, int, float
         else:
             kernels = _ratio_kernels(form == "asymptotic")
         rows_per_group = [u_rows(l, c) for l, c in active]
-        for n_vec in product(*[sorted(r) for r in rows_per_group]):
+        for n_vec in product(*[range(len(r)) for r in rows_per_group]):
             g_table = rows_per_group[0][n_vec[0]]
             for g in range(1, len(active)):
                 g_table = _conv1(g_table, rows_per_group[g][n_vec[g]])
@@ -225,6 +228,12 @@ def literal_power(items: Iterable[Tuple[Key, mp.mpf]], k: int) -> Dict[Key, mp.m
         key = tuple(map(sum, zip(*(key for key, _ in combo))))
         out[key] = out.get(key, 0) + mp.fprod(v for _, v in combo)
     return out
+
+
+def flat(rows: Factor) -> Dict[Key, mp.mpf]:
+    """A table's rows keyed (n̂, d̂), as ``member_terms`` and ``literal_power``
+    key them."""
+    return {(n, d): v for n, row in enumerate(rows) for d, v in row.items()}
 
 
 def xi(m_hat: int, k: int, M_E: int) -> float:

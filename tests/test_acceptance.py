@@ -58,7 +58,7 @@ from esrsel.simulation import (
     paired_esr_difference,
     quadrature_esr,
 )
-from pole_set_reference import literal_power, member_terms, tuple_poles, xi
+from pole_set_reference import flat, literal_power, member_terms, tuple_poles, xi
 
 LAMBDA_9DB = 10.0 ** 0.9  # 9 dB in linear units
 
@@ -402,8 +402,8 @@ def test_criterion_8_identity_suites():
             for m_e in (1, 2, 3):
                 assert abs(xi(m_hat, k, m_e) - 1.0) <= 1e-9
     # Power-of-sums re-summation: ``_conv2`` powers of random tables over
-    # (i, j, v) triples, keyed (j, i − v) as the weight tables key (n, m − u),
-    # entry by entry against a literal walk over the key tuples.
+    # (i, j, v) triples, in row j, entry i − v, as the weight tables place
+    # (n, m − u), entry by entry against a literal walk over the key tuples.
     rng = random.Random(20240820)
     with mp.workdps(30):
         for mu in (0, 1, 2, 3):
@@ -414,10 +414,10 @@ def test_criterion_8_identity_suites():
                     for j in range(i + 1)
                     for v in range(i - j + 1)
                 ]
-                table = {}
-                for key, value in items:
-                    table[key] = table.get(key, 0) + value
-                got = functools.reduce(_conv2, [table] * zeta)
+                table = [{} for _ in range(mu + 1)]
+                for (n, d), value in items:
+                    table[n][d] = table[n].get(d, 0) + value
+                got = flat(functools.reduce(_conv2, [table] * zeta))
                 want = literal_power(items, zeta)
                 lhs = mp.fsum(value for _, value in items) ** zeta
                 assert set(got) == set(want)
@@ -430,12 +430,13 @@ def test_criterion_8_identity_suites():
             cfg = SystemConfig(1, L, m_d, 2, 10.0, LAMBDA_9DB)
             tables = _v_tables(cfg, True, mp.mpf(cfg.lambda_D), mp.mpf(cfg.lambda_E))
             for l in range(1, L + 1):
+                got = flat(tables[l - 1])
                 terms = list(member_terms(cfg, l))
                 want = literal_power(terms, 1)
-                assert set(tables[l]) == set(want)
+                assert set(got) == set(want)
                 for key, value in want.items():
                     scale = mp.fsum(abs(c) for k, c in terms if k == key)
-                    assert abs(tables[l][key] - value) <= 1e-12 * scale, (L, m_d, l, key)
+                    assert abs(got[key] - value) <= 1e-12 * scale, (L, m_d, l, key)
     # Partial-fraction recombination on random pole structures.
     for seed in range(6):
         sr = random.Random(900 + seed)

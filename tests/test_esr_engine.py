@@ -21,7 +21,7 @@ import pytest
 import esrsel
 from esrsel import esr_engine
 from esrsel.channel_model import SystemConfig
-from esrsel.errors import CancellationError, ComplexityBudgetError
+from esrsel.errors import CancellationError, ComplexityBudgetError, DomainError
 from esrsel.esr_engine import (
     _as_single_transmitter,
     _dps,
@@ -326,6 +326,19 @@ class TestGuards:
         with pytest.raises(ComplexityBudgetError):
             esr_ss_exact(SystemConfig(3, 3, 3, 3, 10.0, 1.0), budget=1000)
 
+    @pytest.mark.parametrize("budget", [math.nan, 2.5, "1", None, -1, math.inf])
+    def test_budget_must_be_a_count(self, budget):
+        # nan compares false with every work count, so it would turn the
+        # guard off.
+        cfg = SystemConfig(3, 3, 3, 3, 10.0, 1.0)
+        for call in (
+            lambda: esr_os_exact(cfg, budget=budget),
+            lambda: esr_ss_highsnr(cfg, budget=budget),
+            lambda: esr_asymptotic(cfg, "OS", budget=budget),
+        ):
+            with pytest.raises(DomainError, match="budget must be an integer >= 0"):
+                call()
+
     @staticmethod
     def full_walk_work(K, L, M_D, exact):
         """The guard's work count, summed over every composition."""
@@ -555,6 +568,33 @@ class TestFactorisedAssembly:
         assert dps - correct <= claimed
 
 
+class TestWeightTables:
+    """The row structure of the member tables, which ``_dps`` and ``_work``
+    assume and README states, for the tables either scheme runs on."""
+
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "ratio"])
+    def test_rows_hold_their_orders_and_powers(self, exact):
+        shapes = itertools.product((1, 2, 3), (1, 2, 3), (1, 2, 3), (1, 2))
+        cfgs = {
+            cfg if scheme == "OS" else _as_single_transmitter(cfg)
+            for cfg in (SystemConfig(*shape, 10.0, LAMBDA_9DB) for shape in shapes)
+            for scheme in ("OS", "SS")
+        }
+        for cfg in cfgs:
+            with mp.workdps(30):
+                tables = _v_tables(cfg, exact, mp.mpf(cfg.lambda_D), mp.mpf(cfg.lambda_E))
+            assert len(tables) == cfg.L, cfg
+            for l, rows in enumerate(tables, 1):
+                top = l * (cfg.M_D - 1)
+                # Row n̂ is the pole order M_E + n̂: T_l = M_E + l·(M_D − 1).
+                assert len(rows) == top + 1, (cfg, l)
+                for n, row in enumerate(rows):
+                    # The ratio form stays on the diagonal; the exact form's
+                    # powers of x run from n̂ up to the last row's n̂.
+                    allowed = set(range(n, top + 1)) if exact else {n}
+                    assert set(row) <= allowed, (cfg, l, n, sorted(row))
+
+
 class TestSelectionDecomposition:
     """``pf_selection``'s pieces add back up to the integrand they split."""
 
@@ -565,18 +605,15 @@ class TestSelectionDecomposition:
         dps = _dps(cfg, exact)
         with mp.workdps(dps):
             lam_D, lam_E = mp.mpf(cfg.lambda_D), mp.mpf(cfg.lambda_E)
-            tables = _v_tables(cfg, exact, lam_D, lam_E)
-            factors, poles = [], []
-            for l, table in tables.items():
-                top = max(n for n, _ in table)
-                factors.append([{d: v for (m, d), v in table.items() if m == n} for n in range(top + 1)])
-                poles.append((lam_D / (l * lam_E), cfg.M_E + top))
+            factors = _v_tables(cfg, exact, lam_D, lam_E)
+            poles = [(lam_D / (l * lam_E), cfg.M_E + len(rows) - 1) for l, rows in enumerate(factors, 1)]
             pfs = pf_selection(factors, poles, cfg.K, exact)
             for x in map(mp.mpf, ("1.5", "4", "17", "50")):
                 z = mp.exp(-x / lam_D) if exact else 1
                 q = sum(
                     z**l * v * x**d / (x + c) ** (cfg.M_E + n)
-                    for l, (c, _) in zip(tables, poles) for (n, d), v in tables[l].items()
+                    for l, (rows, (c, _)) in enumerate(zip(factors, poles), 1)
+                    for n, row in enumerate(rows) for d, v in row.items()
                 )
                 want = (1 - (1 - q) ** cfg.K) / x
                 pieces = []

@@ -1,11 +1,11 @@
 """The product-of-sums re-summation as the library runs it.
 
 The exact closed forms raise sums over (m, n, u) index triples to powers.
-``esr_engine._conv2`` collapses each power into one table keyed by the hat
-sums; here every power it forms is compared entry by entry with a literal
-walk over the key tuples, and its total with the power of the sum.  A
-triple (i, j, v) is keyed (j, i − v), as the weight tables key it: the pole
-order's n and the power of x.
+``esr_engine._conv2`` collapses each power into one table of rows over the
+hat sums; here every power it forms is compared entry by entry (through
+``flat``) with a literal walk over the key tuples, and its total with the
+power of the sum.  A triple (i, j, v) goes to row j, entry i − v, as the
+weight tables place it: the pole order's n and the power of x.
 """
 
 import functools
@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from esrsel.esr_engine import _conv2
-from pole_set_reference import literal_power
+from pole_set_reference import flat, literal_power
 
 
 def triples(mu):
@@ -30,16 +30,17 @@ def keyed(table):
 
 
 def conv_power(items, zeta):
-    """The ζ-th ``_conv2`` power of the table that sums ``items`` by key."""
-    table = {}
-    for key, x in items:
-        table[key] = table.get(key, 0) + x
+    """The ζ-th ``_conv2`` power of the rows that sum ``items`` by key."""
+    table = [{} for _ in range(max(n for (n, _), _ in items) + 1)]
+    for (n, d), x in items:
+        table[n][d] = table[n].get(d, 0) + x
     return functools.reduce(_conv2, [table] * zeta)
 
 
-def check_power(got, want, lhs):
-    """A ``_conv2`` power ``got`` against the literal walk ``want``, entry by
-    entry, and its total against the power of the sum ``lhs``."""
+def check_power(rows, want, lhs):
+    """A ``_conv2`` power's ``rows`` against the literal walk ``want``, entry
+    by entry, and its total against the power of the sum ``lhs``."""
+    got = flat(rows)
     assert set(got) == set(want)
     for key, w in want.items():
         assert abs(got[key] - w) <= 1e-12 * max(1.0, abs(lhs)), key
@@ -54,7 +55,7 @@ def check_table_power(table, zeta):
 class TestProductOfSumsIdentity:
     def test_single_entry_cube(self):
         c = 0.7183
-        got = conv_power([((0, 0), c)], 3)
+        got = flat(conv_power([((0, 0), c)], 3))
         assert list(got) == [(0, 0)]
         assert got[(0, 0)] == pytest.approx(c**3, rel=1e-15)
 
@@ -98,6 +99,6 @@ class TestProductOfSumsIdentity:
                 for l in range(1, L + 1)
             }
             base = mp.fsum(mp.fsum(x for _, x in atoms[l]) ** l for l in atoms)
-            members = [kv for l in atoms for kv in conv_power(atoms[l], l).items()]
+            members = [kv for l in atoms for kv in flat(conv_power(atoms[l], l)).items()]
             literal = [kv for l in atoms for kv in literal_power(atoms[l], l).items()]
             check_power(conv_power(members, k), literal_power(literal, k), base**k)
