@@ -27,10 +27,23 @@ from .errors import DomainError
 __all__ = ["SystemConfig", "CorrelationConfig"]
 
 
+def _index(v) -> int:
+    """``operator.index(v)``, refusing a bool with the same TypeError as any
+    other non-integer: ``True`` is not a count, a seed or a budget."""
+    if isinstance(v, bool):
+        raise TypeError(f"a bool is not an integer: {v!r}")
+    return operator.index(v)
+
+
+def _is_real(v) -> bool:
+    """Whether ``v`` is a real number (``numbers.Real``) other than a bool."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
 def _check_count(name: str, v) -> None:
-    """A multipath or node count: an integer (``operator.index``) >= 1."""
+    """A multipath or node count: an integer (``_index``) >= 1."""
     try:
-        ok = operator.index(v) >= 1
+        ok = _index(v) >= 1
     except TypeError:
         ok = False
     if not ok:
@@ -38,7 +51,7 @@ def _check_count(name: str, v) -> None:
 
 
 def _check_scale(name: str, v) -> None:
-    if not (isinstance(v, numbers.Real) and v > 0.0 and math.isfinite(v)):
+    if not (_is_real(v) and v > 0.0 and math.isfinite(v)):
         raise DomainError(f"{name} must be positive and finite, got {v!r}")
 
 
@@ -76,5 +89,5 @@ class CorrelationConfig:
     def __post_init__(self) -> None:
         for name in ("rho_S", "rho_D", "rho_E"):
             v = getattr(self, name)
-            if not (isinstance(v, numbers.Real) and 0.0 <= v < 1.0):
+            if not (_is_real(v) and 0.0 <= v < 1.0):
                 raise DomainError(f"{name} must lie in [0, 1), got {v!r}")

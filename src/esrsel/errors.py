@@ -26,7 +26,10 @@ class DomainError(SelectionModelError, ValueError):
 
 
 class ContractError(SelectionModelError, ValueError):
-    """A caller violated an operation precondition (e.g. wrong scheme/shape)."""
+    """A kernel was called outside its precondition: ν < 1 in
+    ``single_pole_integral_mp`` or ``j1_highsnr_mp``.  No ESR route calls
+    these two kernels; the tests do, and ``esr_engine`` imports them so
+    that ``bench/tracer.py`` can find them by name."""
 
 
 class ComplexityBudgetError(SelectionModelError):

@@ -28,13 +28,12 @@ is too small.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Tuple
 
 import mpmath as mp
 
-from .channel_model import SystemConfig
+from .channel_model import SystemConfig, _index
 from .errors import CancellationError, ComplexityBudgetError, DomainError
 from .partial_fractions import _MAX_DPS, Factor, _close_exact, _GammaTable, _log_rational_assembly, pf_selection, required_dps
 
@@ -290,7 +289,7 @@ def _as_single_transmitter(cfg: SystemConfig) -> SystemConfig:
 def _evaluate(cfg: SystemConfig, scheme: str, form: str, budget: int) -> EsrResult:
     """One closed-form ESR, with SS evaluated as OS(1, K·L)."""
     try:
-        ok = operator.index(budget) >= 0
+        ok = _index(budget) >= 0
     except TypeError:
         ok = False
     if not ok:

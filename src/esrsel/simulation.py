@@ -20,18 +20,20 @@ formed.
 Substreams are counter-based: chunk i uses a Philox generator keyed by the
 two-word key (seed, i) with a fixed chunk size, so no two (seed, chunk)
 pairs share a stream (Salmon et al., "Parallel random numbers: as easy as
-1, 2, 3", SC'11).  A chunk of n draws reads its stream in this order: every
-destination draw, then every eavesdropper draw.  Per link type that is, for
+1, 2, 3", SC'11).  ``_mc_mean`` makes one draw plan per estimate: one
+grouping of the unit draws for every configuration it is given (two for a
+paired difference), and each one's μ.  A chunk of n draws reads its stream
+as every destination draw, then every eavesdropper draw, which each
+configuration reduces to its own link SNRs.  Per link type that is, for
 Exp(1) path powers, one (n, …, M) slab per transmitter; for the recursion,
 the first transmitter's Gamma(g) powers, then each later transmitter's
 (a, b) slab, then, for g > 1 only, all the Gamma(g − 1) remainders.  A
 C-order fill is the same stream as its leading-axis slabs filled in turn,
 so these are the values of whole (K, n, …) draws; but each slab is drawn,
-stepped and reduced to its link SNRs before the next, and only g > 1,
-whose groups are one per link, keeps its (a, b) whole.  The chunks of a
-call run on a thread pool of up to one thread per usable core, and their
-sums are added in chunk order, so every estimate is bit-reproducible and
-independent of the thread count.
+stepped and reduced before the next, and only g > 1, whose groups are one
+per link, keeps its (a, b) whole.  The chunks run on a thread pool of up to
+one thread per usable core, and their sums are added in chunk order, so
+every estimate is bit-reproducible and independent of the thread count.
 
 The quadrature path evaluates C = (1/ln 2) ∫_1^∞ (1 - F(x))/x dx directly
 from the model CDFs with nested adaptive Gauss–Kronrod integration — no
@@ -52,8 +54,6 @@ never use it, and it is about half of a fresh process's import time.
 from __future__ import annotations
 
 import math
-import numbers
-import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -61,7 +61,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .channel_model import CorrelationConfig, SystemConfig
+from .channel_model import CorrelationConfig, SystemConfig, _index, _is_real
 from .errors import DomainError, OracleFailureError
 from .esr_engine import EsrResult, _norm_scheme
 
@@ -98,7 +98,7 @@ def _substream(seed: int, chunk_index: int) -> np.random.Generator:
 def _checked_seed(seed) -> int:
     """``seed`` as an int in [0, 2**64), the range of a Philox key word."""
     try:
-        seed = operator.index(seed)
+        seed = _index(seed)
     except TypeError:
         raise DomainError(f"seed must be an integer, got seed={seed!r}") from None
     if not 0 <= seed < 2**64:
@@ -109,7 +109,7 @@ def _checked_seed(seed) -> int:
 def _checked_trials(trials) -> int:
     """``trials`` as an int of at least 1000."""
     try:
-        trials = operator.index(trials)
+        trials = _index(trials)
     except TypeError:
         raise DomainError(f"trials must be an integer, got trials={trials!r}") from None
     if trials < 1000:
@@ -119,23 +119,6 @@ def _checked_trials(trials) -> int:
 
 # ---------------------------------------------------------------------------
 # link-SNR draws
-
-
-@dataclass(frozen=True)
-class _LinkLaw:
-    """Link SNRs of one correlation configuration, γ = Σ_i μ_i·S_i.
-
-    ``groups`` None: the S are the M unit path powers, Exp(1) each, and μ
-    the eigenvalues of the path covariance λ·Toeplitz(ρ).  Otherwise
-    ``groups`` = (g_D, g_E) paths per group: each S is the power of g
-    i.i.d. unit paths, followed across transmitters with correlation
-    ``rho_S`` by ``_link_snrs``; μ is λ once when g = M, and the eigenvalues
-    when g = 1."""
-
-    rho_S: float
-    groups: Optional[Tuple[int, int]]
-    mu_d: np.ndarray
-    mu_e: np.ndarray
 
 
 def _toeplitz(size: int, rho: float, scale: float) -> np.ndarray:
@@ -160,14 +143,16 @@ def _draw_groups(cfg: SystemConfig, *corrs: CorrelationConfig) -> Optional[Tuple
 
 def _link_law(
     cfg: SystemConfig, corr: CorrelationConfig, groups: Optional[Tuple[int, int]]
-) -> _LinkLaw:
-    """The law of ``corr``'s link SNRs read from draws grouped by ``groups``."""
+) -> Tuple[float, np.ndarray, np.ndarray]:
+    """(ρ_S, μ_D, μ_E) of ``corr`` on draws grouped by ``groups``, each link
+    SNR being γ = Σ_i μ_i·S_i: μ is λ once where a link type's paths form
+    one group (g = M > 1), else the eigenvalues of λ·Toeplitz(ρ)."""
     g_d, g_e = groups or (1, 1)
     mu_d = np.array([cfg.lambda_D]) if g_d > 1 else np.linalg.eigvalsh(
         _toeplitz(cfg.M_D, corr.rho_D, cfg.lambda_D))
     mu_e = np.array([cfg.lambda_E]) if g_e > 1 else np.linalg.eigvalsh(
         _toeplitz(cfg.M_E, corr.rho_E, cfg.lambda_E))
-    return _LinkLaw(corr.rho_S, groups, mu_d, mu_e)
+    return corr.rho_S, mu_d, mu_e
 
 
 def _link_snrs(
@@ -230,20 +215,6 @@ def _link_snrs(
     return out
 
 
-def _chunk_snrs(
-    gen: np.random.Generator, cfg: SystemConfig, n: int, laws: Sequence[_LinkLaw]
-) -> List[Tuple[np.ndarray, np.ndarray]]:
-    """(γ_D[n, k, l], γ_E[n, k]) of one chunk of ``n`` draws under each of
-    ``laws``, which share their grouping: every destination link first, then
-    the eavesdropper links."""
-    g_d, g_e = laws[0].groups or (None, None)
-    gd = _link_snrs(gen, cfg.K, (n, cfg.L, cfg.M_D // (g_d or 1)), g_d,
-                    [(law.rho_S, law.mu_d) for law in laws])
-    ge = _link_snrs(gen, cfg.K, (n, cfg.M_E // (g_e or 1)), g_e,
-                    [(law.rho_S, law.mu_e) for law in laws])
-    return list(zip(gd, ge))
-
-
 # ---------------------------------------------------------------------------
 # selection rules
 
@@ -292,12 +263,16 @@ def _mc_mean(
     cfg: SystemConfig,
     trials: int,
     seed: int,
-    laws: Sequence[_LinkLaw],
+    corrs: Sequence[CorrelationConfig],
     chunk_values: Callable[[List[Tuple[np.ndarray, np.ndarray]]], np.ndarray],
 ) -> McEstimate:
     """Mean and standard error of ``chunk_values(snrs)`` over ``trials``
-    draws, where ``snrs`` holds each of ``laws``' link SNRs of one chunk
-    (see ``_chunk_snrs``) and the values are per draw.
+    draws, where ``snrs`` holds (γ_D[n, k, l], γ_E[n, k]) of one chunk of n
+    draws under each of ``corrs``, in order, and the values are per draw.
+
+    The draw plan, one grouping for all of ``corrs`` (``_draw_groups``) and
+    each one's ``_link_law``, is made once.  Every config reduces the same
+    unit draws, so beyond the grouping its SNRs ignore the configs beside it.
 
     The chunks run on a pool of up to one thread per usable core, or per
     core of this process's share in a worker pool (``_share_cores``); with
@@ -307,11 +282,18 @@ def _mc_mean(
     estimate does not depend on the thread count."""
     trials = _checked_trials(trials)
     seed = _checked_seed(seed)
+    groups = _draw_groups(cfg, *corrs)
+    laws = [_link_law(cfg, c, groups) for c in corrs]
+    dest = [(rho, mu_d) for rho, mu_d, _ in laws]
+    eave = [(rho, mu_e) for rho, _, mu_e in laws]
+    g_d, g_e = groups or (None, None)
     sizes = [min(CHUNK_SIZE, trials - done) for done in range(0, trials, CHUNK_SIZE)]
 
     def sums(chunk_index: int) -> Tuple[float, float]:
-        gen = _substream(seed, chunk_index)
-        values = chunk_values(_chunk_snrs(gen, cfg, sizes[chunk_index], laws))
+        gen, n = _substream(seed, chunk_index), sizes[chunk_index]
+        gd = _link_snrs(gen, cfg.K, (n, cfg.L, cfg.M_D // (g_d or 1)), g_d, dest)
+        ge = _link_snrs(gen, cfg.K, (n, cfg.M_E // (g_e or 1)), g_e, eave)
+        values = chunk_values(list(zip(gd, ge)))
         return float(values.sum()), float((values * values).sum())
 
     workers = min(_usable_cores() // _core_sharers, len(sizes))
@@ -339,8 +321,7 @@ def estimate_esr(
 ) -> McEstimate:
     """ESR estimate: mean of [log2 Γ_S]^+ over ``trials`` channel draws."""
     s = _norm_scheme(scheme)
-    law = _link_law(cfg, corr, _draw_groups(cfg, corr))
-    return _mc_mean(cfg, trials, seed, [law], lambda snrs: _chunk_rates(*snrs[0], s))
+    return _mc_mean(cfg, trials, seed, [corr], lambda snrs: _chunk_rates(*snrs[0], s))
 
 
 def paired_esr_difference(
@@ -353,17 +334,15 @@ def paired_esr_difference(
 ) -> McEstimate:
     """ESR(corr_a) − ESR(corr_b) with common random numbers per draw.
 
-    Both sides compute their link SNRs from the same unit draws: the
-    transmitter recursion's innovations when either side has transmitter
-    correlation, with a link type's paths collapsed into one group only
-    when both sides have ρ = 0 for it, and Exp(1) path powers otherwise.
-    So the correlation-induced gap resolves at far fewer trials than two
-    independent estimates would need.
+    Both sides are one ``_mc_mean`` estimate, so they read the same unit
+    draws: the transmitter recursion's innovations when either side has
+    transmitter correlation, with a link type's paths collapsed into one
+    group only when both sides have ρ = 0 for it, and Exp(1) path powers
+    otherwise.  So the correlation-induced gap resolves at far fewer trials
+    than two independent estimates would need.
     """
     s = _norm_scheme(scheme)
-    groups = _draw_groups(cfg, corr_a, corr_b)
-    laws = [_link_law(cfg, corr_a, groups), _link_law(cfg, corr_b, groups)]
-    return _mc_mean(cfg, trials, seed, laws,
+    return _mc_mean(cfg, trials, seed, [corr_a, corr_b],
                     lambda snrs: _chunk_rates(*snrs[0], s) - _chunk_rates(*snrs[1], s))
 
 
@@ -491,10 +470,11 @@ def _quadrature(
     on its own λ_D scale regardless of x), clipped where either the
     destination survival or the eavesdropper density tail drops below 1e-18
     relative mass.  Like QUADPACK, it refuses tolerances that are negative,
-    not finite, or both zero, and also ones that are not real numbers.
+    not finite, or both zero, and also ones that are not real numbers or
+    are bools.
     """
     tols = (epsabs, epsrel)
-    if not all(isinstance(t, numbers.Real) and 0.0 <= t < math.inf for t in tols) or not any(tols):
+    if not all(_is_real(t) and 0.0 <= t < math.inf for t in tols) or not any(tols):
         raise DomainError(
             f"need finite tolerances >= 0, one of them positive; got epsabs={epsabs!r}, "
             f"epsrel={epsrel!r}"

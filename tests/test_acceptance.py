@@ -50,8 +50,6 @@ from esrsel.esr_engine import (
 from esrsel.partial_fractions import _DPS_BASE, _GammaTable, _descent_digits, pf_coefficients, required_dps
 from esrsel.simulation import (
     _chunk_rates,
-    _draw_groups,
-    _link_law,
     _mc_mean,
     _quadrature_esr_ratio_form,
     estimate_esr,
@@ -481,16 +479,14 @@ def test_criterion_9_correlation_trends():
     # Transmitter correlation costs the ratio-optimal scheme more.  "tx OS"
     # and "tx SS" select from the same draws, so their difference is
     # estimated per draw: (iid OS − tx OS) − (iid SS − tx SS).
-    # Both sides read the same unit draws: the transmitter recursion's
-    # innovations, each link's paths collapsed into one group.
-    groups = _draw_groups(cfg, iid, CorrelationConfig(rho_S=0.9))
-    laws = [_link_law(cfg, c, groups) for c in (iid, CorrelationConfig(rho_S=0.9))]
 
     def penalty_excess(snrs):
         penalty = {s: _chunk_rates(*snrs[0], s) - _chunk_rates(*snrs[1], s) for s in SCHEMES}
         return penalty["OS"] - penalty["SS"]
 
-    paired = _mc_mean(cfg, trials, 20240915, laws, penalty_excess)
+    # Both sides read the same unit draws: the transmitter recursion's
+    # innovations, each link's paths collapsed into one group.
+    paired = _mc_mean(cfg, trials, 20240915, [iid, CorrelationConfig(rho_S=0.9)], penalty_excess)
     excess, noise = paired.mean, paired.stderr
     assert excess > 5.0 * noise, (excess, noise)
     print(

@@ -33,6 +33,9 @@ class TestConfigValidation:
             dict(K=math.inf, L=1, M_D=1, M_E=1, lambda_D=1.0, lambda_E=1.0),
             dict(K=1, L=1, M_D=1, M_E=1, lambda_D="1", lambda_E=1.0),
             dict(K=1, L=1, M_D=1, M_E=1, lambda_D=1.0, lambda_E=1j),
+            # A bool is neither a count nor a scale.
+            dict(K=True, L=2, M_D=True, M_E=1, lambda_D=10.0, lambda_E=1.0),
+            dict(K=1, L=1, M_D=1, M_E=1, lambda_D=True, lambda_E=1.0),
         ],
     )
     def test_bad_system_config_rejected(self, kwargs):
@@ -43,7 +46,7 @@ class TestConfigValidation:
         cfg = SystemConfig(np.int64(2), 1, 2, np.uint8(3), np.float64(10.0), 1)
         assert (cfg.K, cfg.M_E) == (2, 3)
 
-    @pytest.mark.parametrize("bad", [-0.1, 1.0, 1.5, math.nan, "0.5"])
+    @pytest.mark.parametrize("bad", [-0.1, 1.0, 1.5, math.nan, "0.5", False, True])
     def test_correlation_exponent_bounds(self, bad):
         with pytest.raises(DomainError):
             CorrelationConfig(rho_S=bad)

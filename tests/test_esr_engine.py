@@ -326,7 +326,7 @@ class TestGuards:
         with pytest.raises(ComplexityBudgetError):
             esr_ss_exact(SystemConfig(3, 3, 3, 3, 10.0, 1.0), budget=1000)
 
-    @pytest.mark.parametrize("budget", [math.nan, 2.5, "1", None, -1, math.inf])
+    @pytest.mark.parametrize("budget", [math.nan, 2.5, "1", None, -1, math.inf, True, False])
     def test_budget_must_be_a_count(self, budget):
         # nan compares false with every work count, so it would turn the
         # guard off.

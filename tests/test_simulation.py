@@ -25,7 +25,6 @@ from esrsel.simulation import (
     _chunk_rates,
     _draw_groups,
     _gk21,
-    _link_law,
     _link_snrs,
     _mc_mean,
     _quadrature,
@@ -317,9 +316,8 @@ def stepped_powers(units, rho):
 def recursion_esr_at_rho_s_zero(cfg, corr, scheme, trials, seed):
     """The ESR of ``corr`` (ρ_S = 0) read through the transmitter
     recursion's draws, grouped as for ``corr`` with ρ_S = 0.9 beside it."""
-    groups = _draw_groups(cfg, corr, CorrelationConfig(0.9, corr.rho_D, corr.rho_E))
-    law = _link_law(cfg, corr, groups)
-    return _mc_mean(cfg, trials, seed, [law], lambda snrs: _chunk_rates(*snrs[0], scheme))
+    twin = CorrelationConfig(0.9, corr.rho_D, corr.rho_E)
+    return _mc_mean(cfg, trials, seed, [corr, twin], lambda snrs: _chunk_rates(*snrs[0], scheme))
 
 
 def z_score(a, b):
@@ -450,6 +448,8 @@ class TestEstimateEsr:
             estimate_esr(SystemConfig(1, 1, 1, 1, 1.0, 1.0), IID, "OS", 1000, 1.5)
         with pytest.raises(DomainError, match="seed='x'"):
             estimate_esr(SystemConfig(1, 1, 1, 1, 1.0, 1.0), IID, "OS", 1000, "x")
+        with pytest.raises(DomainError, match="seed=True"):
+            estimate_esr(SystemConfig(1, 1, 1, 1, 1.0, 1.0), IID, "OS", 1000, True)
 
     def test_non_integer_trials_is_a_domain_error(self):
         cfg = SystemConfig(2, 1, 1, 1, 1.0, 1.0)
@@ -457,6 +457,8 @@ class TestEstimateEsr:
             estimate_esr(cfg, IID, "OS", 1000.5, 1)
         with pytest.raises(DomainError, match="trials=1000.5"):
             paired_esr_difference(cfg, IID, CorrelationConfig(rho_S=0.5), "OS", 1000.5, 1)
+        with pytest.raises(DomainError, match="trials=True"):
+            estimate_esr(cfg, IID, "OS", True, 1)
 
     def test_numpy_integer_seed_is_reported_as_int(self):
         cfg = SystemConfig(1, 1, 1, 1, 1.0, 1.0)
@@ -562,8 +564,9 @@ class TestPairedDifference:
 
     @pytest.mark.parametrize(
         "corr",
-        [CorrelationConfig(rho_D=0.9, rho_E=0.5), CorrelationConfig(rho_S=0.9)],
-        ids=["path", "tx"],
+        [CorrelationConfig(rho_D=0.9, rho_E=0.5), CorrelationConfig(rho_S=0.9),
+         CorrelationConfig(rho_E=0.9), CorrelationConfig(0.9, 0.0, 0.9)],
+        ids=["path", "tx", "eave", "tx_eave"],
     )
     def test_identical_correlated_configs_difference_is_exactly_zero(self, corr):
         cfg = SystemConfig(2, 2, 2, 2, 10.0, 1.0)
@@ -636,6 +639,49 @@ class TestPairedDifference:
         d = paired_esr_difference(cfg, IID, CorrelationConfig(rho_D=0.9), "OS", 50000, 7)
         assert d.mean < 0.0  # path correlation raises the ESR here
         assert abs(d.mean) > 5.0 * d.stderr
+
+
+class TestDrawPlan:
+    """``_mc_mean`` makes one draw plan for all the configs it is given: a
+    config's per-draw values follow from the seed, the trials, its own law
+    and the grouping, never from the configs beside it."""
+
+    CFG = SystemConfig(3, 2, 3, 2, 10.0, 2.0)
+
+    @pytest.fixture(autouse=True)
+    def one_thread(self, monkeypatch):
+        monkeypatch.setattr(simulation, "_usable_cores", lambda: 1)
+
+    def first_values(self, corrs):
+        """The per-draw OS rates of ``corrs[0]`` over two chunks, in order."""
+        kept = []
+
+        def keep(snrs):
+            kept.append(_chunk_rates(*snrs[0], "OS"))
+            return kept[-1]
+
+        _mc_mean(self.CFG, 3 * CHUNK_SIZE // 2, 23, corrs, keep)
+        return np.concatenate(kept)
+
+    @pytest.mark.parametrize(
+        "first,second,swap",
+        [(IID, CorrelationConfig(rho_D=0.9), CorrelationConfig(rho_E=0.5)),
+         (CorrelationConfig(rho_S=0.9), IID, CorrelationConfig(rho_S=0.5)),
+         (CorrelationConfig(0.5, 0.9, 0.0), CorrelationConfig(rho_S=0.9),
+          CorrelationConfig(0.9, 0.5, 0.0))],
+        ids=["exponential", "collapsed", "mixed"],
+    )
+    def test_swapping_the_second_config_keeps_the_first_bit_identical(self, first, second, swap):
+        groups = _draw_groups(self.CFG, first)
+        assert _draw_groups(self.CFG, first, second) == _draw_groups(self.CFG, first, swap) == groups
+        alone = self.first_values([first])
+        assert np.array_equal(self.first_values([first, second]), alone)
+        assert np.array_equal(self.first_values([first, swap]), alone)
+
+    def test_a_second_config_that_regroups_the_draws_changes_the_first(self):
+        tx, tx_path = CorrelationConfig(rho_S=0.9), CorrelationConfig(0.9, 0.9, 0.0)
+        assert _draw_groups(self.CFG, tx) != _draw_groups(self.CFG, tx, tx_path)
+        assert not np.array_equal(self.first_values([tx]), self.first_values([tx, tx_path]))
 
 
 # fig5's six (ρ_S, ρ_D, ρ_E) sets: i.i.d., path-only, transmitter-correlated
@@ -775,7 +821,7 @@ class TestQuadratureEsr:
         tight = quadrature_esr(cfg, "OS", epsabs=5e-13, epsrel=5e-10).value
         assert abs(base - tight) < 1e-8
 
-    BAD_TOLERANCES = (math.nan, math.inf, -math.inf, -1.0, "1e-9")
+    BAD_TOLERANCES = (math.nan, math.inf, -math.inf, -1.0, "1e-9", True, False)
 
     @pytest.mark.parametrize(
         "epsabs,epsrel",
