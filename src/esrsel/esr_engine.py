@@ -10,13 +10,17 @@ built directly in the format ``pf_selection`` reads, a list of rows
 (``partial_fractions.Factor``): row n̂, of pole order M_E + n̂, maps d̂ to
 the coefficient of x^d̂.
 
-There is one assembly, ``_terms``.  One ``pf_selection`` call decomposes
-the whole integrand, one truncated expansion per pole, grade by grade in z,
-and each grade l̃ closes at β = l̃/λ_D.  The ratio form (high-SNR and
-asymptotic) is the exact form at β = 0, whose atoms lie on the diagonal of
-the exact ones; it has one grade and closes with logs.  SS(K, L) is
-evaluated as OS(1, K·L).  ``asymptote_line`` reads its offset off one
-asymptotic value.
+There is one entry point, ``_terms``, with two closings.  With one
+transmitter (K = 1: OS(1, L), and every SS row, since SS(K, L) is
+evaluated as OS(1, K·L)) the eavesdropper SNR is independent of the
+selected destination SNR, and the ESR is one integral over the destination
+SNR, closed term by term against incomplete-gamma moments
+(``_one_transmitter_terms``); no weight table or partial fraction is built.
+For K ≥ 2, one ``pf_selection`` call decomposes the whole integrand built
+from the tables, one truncated expansion per pole, grade by grade in z, and
+each grade l̃ closes at β = l̃/λ_D; its ratio form (high-SNR and
+asymptotic) is the exact form at β = 0 and closes with logs.
+``asymptote_line`` reads its offset off one asymptotic value.
 
 All assembly runs in mpmath at an adaptively chosen precision — the signed
 sums cancel catastrophically in float64 for the larger configurations.  The
@@ -35,7 +39,23 @@ import mpmath as mp
 
 from .channel_model import SystemConfig, _index
 from .errors import CancellationError, ComplexityBudgetError, DomainError
-from .partial_fractions import _MAX_DPS, Factor, _close_exact, _GammaTable, _log_rational_assembly, pf_selection, required_dps
+from .partial_fractions import (
+    _DPS_BASE,
+    _DPS_MARGIN,
+    _MAX_DPS,
+    Factor,
+    Terms,
+    _close_exact,
+    _descent_digits,
+    _dot,
+    _GammaTable,
+    _ln,
+    _log_rational_assembly,
+    _mag_ln,
+    _pow_list,
+    pf_selection,
+    required_dps,
+)
 
 # Not called here; imported only so that bench/tracer.py's BOUNDARIES resolve.
 from .partial_fractions import j0_exact_mp, j0_highsnr_mp, j1_highsnr_mp, pf_coefficients, single_pole_integral_mp  # noqa: F401
@@ -134,7 +154,8 @@ def _v_tables(cfg: SystemConfig, exact: bool, lam_D: mp.mpf, lam_E: mp.mpf) -> L
     """Member tables [V_1, …, V_L], V_l the rows ``pf_selection`` reads over
     the pole −λ_D/(l λ_E): row n̂, of pole order M_E + n̂, maps d̂ to the
     coefficient of x^d̂.  V_l is the l-th ``_conv2`` power of the atoms, so
-    it has l·(M_D − 1) + 1 rows, and each row is scaled once.
+    it has l·(M_D − 1) + 1 rows, and each row is scaled once.  ``_terms``
+    builds them for OS with K ≥ 2 only; K = 1 needs no table.
 
     The ratio form is the exact form at β = 0: its argument x·y is
     x(1+y) − 1 without the x − 1 part, so its atoms y^m x^m / m! sit on the
@@ -163,6 +184,100 @@ def _v_tables(cfg: SystemConfig, exact: bool, lam_D: mp.mpf, lam_E: mp.mpf) -> L
             tab.append({d: scale * v for d, v in sorted(row.items())})
         out.append(tab)
     return out
+
+
+# ---------------------------------------------------------------------------
+# one transmitter: a one-dimensional closing
+
+
+def _ln_add(a: float, b: float) -> float:
+    """ln(e^a + e^b)."""
+    hi, lo = max(a, b), min(a, b)
+    return hi if lo == -math.inf else hi + math.log1p(math.exp(lo - hi))
+
+
+def _moments(beta: mp.mpf, n: int, exact: bool) -> Tuple[List[mp.mpf], List[float]]:
+    """J_k = I_k(β)/k! for k < n, with their envelopes.
+
+    In the exact form I_k(β) = ∫_0^∞ y^k e^{-βy} dy/(1+y) = k! e^β Γ(-k, β),
+    and J_k = (β^{-k} − J_{k-1})/k from J_0 = e^β E1(β): the downward
+    Γ(-k, β) fill, scaled.  Each step is a signed sum, and its envelope adds
+    the two magnitudes, so it carries the fill's losses.  In the ratio form
+    I_k(β) = ∫_0^∞ y^{k-1} e^{-βy} dy = (k-1)!/β^k for k ≥ 1, and J_0 is 0:
+    the two k = 0 terms pair into a log.
+    """
+    inv = _pow_list(1 / beta, n)
+    if not exact:
+        js = [mp.mpf(0)] + [inv[k] / k for k in range(1, n)]
+        return js, [_mag_ln(j) for j in js]
+    js = [mp.exp(beta) * mp.e1(beta)]
+    envs = [_mag_ln(js[0])]
+    ln_inv = -_ln(beta)
+    for k in range(1, n):
+        js.append((inv[k] - js[-1]) / k)
+        envs.append(_ln_add(k * ln_inv, envs[-1]) - math.log(k))
+    return js, envs
+
+
+def _one_transmitter_terms(cfg: SystemConfig, form: str) -> Tuple[mp.mpf, int, float]:
+    """``_terms`` for K = 1, in one dimension.
+
+    With one transmitter, Y = max_l γ_D^{(l)} and Z = γ_E are independent,
+    so C = (1/ln 2) ∫_0^∞ F_E(y)(1 − F_Y(y)) dy/(1+y), with dy/y in the
+    ratio form.  With β_l = l/λ_D, q_l = e_{M_D−1}(y/λ_D)^l and
+    r = e_{M_E−1}(y/λ_E), e_n(s) = Σ_{m≤n} s^m/m!, 1 − F_Y is
+    Σ_l (−1)^{l+1} C(L, l) q_l e^{−β_l y} and F_E = 1 − r e^{−y/λ_E}.  So
+    each l closes q_l at β_l and q_l·r at β_l + 1/λ_E against ``_moments``.
+    In the ratio form the two k = 0 terms pair into ln(1 + c_l), with
+    c_l = λ_D/(l λ_E) (Frullani); the asymptotic form takes ln c_l and, for
+    the q_l·r sum, its λ_D → ∞ limit H_{M_E−1} = Σ_{k<M_E} 1/k.
+
+    Each polynomial is kept as k!·(coefficient of y^k), the powers of
+    e_{M_D−1} in exact integers.  Every closing sum is a ``_dot``, and each
+    term's envelope carries those of its factors, the Γ fill's included.
+    """
+    exact, asymptotic = form == "exact", form == "asymptotic"
+    L, M_D, M_E = cfg.L, cfg.M_D, cfg.M_E
+    lam_D, lam_E = mp.mpf(cfg.lambda_D), mp.mpf(cfg.lambda_E)
+    u, v = 1 / lam_D, 1 / lam_E
+    # uv[j][i] = u^j v^i, and ln C(j+i, i): shared by every l.
+    uv = [[uj * vi for vi in _pow_list(v, M_E)] for uj in _pow_list(u, L * (M_D - 1) + 1)]
+    e_uv = [[_mag_ln(x) for x in row] for row in uv]
+    ln_comb = [[math.log(math.comb(j + i, i)) for i in range(M_E)] for j in range(len(uv))]
+    if asymptotic:
+        harmonic = _dot([(1, mp.mpf(1) / i, -math.log(i)) for i in range(1, M_E)])
+    first = 0 if exact else 1  # the ratio form's k = 0 terms pair into a log
+    outer: Terms = []
+    n_terms = 0
+    a = [1]  # k!·[s^k] e_{M_D−1}(s)^l, here for l = 0
+    for l in range(1, L + 1):
+        a = [
+            sum(math.comb(k, m) * a[k - m] for m in range(max(0, k + 1 - len(a)), min(k, M_D - 1) + 1))
+            for k in range(len(a) + M_D - 1)
+        ]
+        w = (-1) ** (l + 1) * math.comb(L, l)
+        ln_a = [math.log(x) for x in a]
+        if not exact:
+            c = lam_D / (l * lam_E)
+            log_c = mp.log(c) if asymptotic else mp.log1p(c)
+            outer.append((w, log_c, _mag_ln(log_c)))
+            n_terms += 1
+        if asymptotic:
+            outer.append((-w, *harmonic))
+            n_terms += 1
+        # q_l at β_l (the i = 0 terms) and, except in the asymptotic form,
+        # q_l·r at β_l + 1/λ_E: term (j, i) is C(j+i, i) a_j u^j v^i J_{j+i}.
+        for weight, rate, r_len in [(w, l * u, 1)] + ([] if asymptotic else [(-w, l * u + v, M_E)]):
+            js, ejs = _moments(rate, len(a) + r_len - 1, exact)
+            closing = [
+                (math.comb(j + i, i) * a[j], uv[j][i] * js[j + i], ln_comb[j][i] + ln_a[j] + e_uv[j][i] + ejs[j + i])
+                for j in range(len(a)) for i in range(r_len) if j + i >= first
+            ]
+            outer.append((weight, *_dot(closing)))
+            n_terms += len(closing)
+    total, peak = _dot([(w, s, math.log(abs(w)) + e) for w, s, e in outer])
+    ln2 = mp.log(2)
+    return total / ln2, n_terms, peak - float(mp.log(ln2))
 
 
 # ---------------------------------------------------------------------------
@@ -208,14 +323,24 @@ def _with_retry(
 
 
 def _dps(cfg: SystemConfig, exact: bool) -> int:
-    """Starting working precision: ``required_dps`` over the poles at the
-    orders ``pf_selection`` expands them to, K·T_l.  With K = 1 no grade
-    holds two poles, so each pole stands alone."""
+    """Starting working precision.  For K = 1: the digits the alternating
+    binomial weights can cancel, log10 2^L; the digits the q_l and q_l·r
+    closings cancel when λ_D ≪ λ_E, where the ESR falls like
+    (λ_D/λ_E)^{M_E}; and in the exact form the ``_descent_digits`` of each
+    Γ(−k, β) fill ``_moments`` reads.  For K > 1: ``required_dps`` over the
+    poles at the orders ``pf_selection`` expands them to, K·T_l."""
     K, L, M_D = cfg.K, cfg.L, cfg.M_D
+    if K == 1:
+        digits = L * math.log10(2.0) + cfg.M_E * math.log10(1.0 + cfg.lambda_E / cfg.lambda_D)
+        if exact:
+            digits += max(
+                _descent_digits(l / cfg.lambda_D + rate, l * (M_D - 1) + depth)
+                for l in range(1, L + 1) for rate, depth in ((0.0, 0), (1 / cfg.lambda_E, cfg.M_E - 1))
+            )
+        return int(math.ceil(min(_MAX_DPS, _DPS_BASE + _DPS_MARGIN + digits)))
     poles = [(cfg.lambda_D / (l * cfg.lambda_E), K * (cfg.M_E + l * (M_D - 1))) for l in range(1, L + 1)]
-    sets = [([p], l * (M_D - 1)) for l, p in enumerate(poles, 1)] if K == 1 else [(poles, K * L * (M_D - 1))]
     beta = sum(range(1, L + 1)) * K / cfg.lambda_D if exact else 0.0  # upper bound on l̃/λ_D
-    worst = max(required_dps(p, zs=[beta * (1 + c) for c, _ in p], nu_max=nu) for p, nu in sets)
+    worst = required_dps(poles, zs=[beta * (1 + c) for c, _ in poles], nu_max=K * L * (M_D - 1))
     if not exact:
         return worst
     # Weight-table growth for λ_D < 1 and the e^{l̃/λ_D} prefactors.
@@ -247,13 +372,16 @@ def _work(cfg: SystemConfig, exact: bool) -> int:
 
 def _terms(cfg: SystemConfig, form: str) -> Tuple[mp.mpf, int, float]:
     """The OS sum for ``form`` ∈ {"exact", "high_snr", "asymptotic"}:
-    (total, nonzero partial-fraction coefficient count, log of the envelope
-    of every signed sum).
+    (total, count of the terms closed, log of the envelope of every signed
+    sum).
 
-    One ``pf_selection`` call decomposes x⁻¹[1 − (1 − Σ_l z^l V_l(x))^K],
+    K = 1 goes to ``_one_transmitter_terms``.  For K ≥ 2, one
+    ``pf_selection`` call decomposes x⁻¹[1 − (1 − Σ_l z^l V_l(x))^K],
     V_l over its pole −χ_l; in the exact form grade l̃ of z = e^{−x/λ_D}
     closes at β = l̃/λ_D, and the ratio forms' one grade closes with logs.
     """
+    if cfg.K == 1:
+        return _one_transmitter_terms(cfg, form)
     exact = form == "exact"
     lam_D, lam_E = mp.mpf(cfg.lambda_D), mp.mpf(cfg.lambda_E)
     factors = _v_tables(cfg, exact, lam_D, lam_E)

@@ -338,15 +338,12 @@ def pf_selection(
     grades = range(1, len(poles) + 1) if graded else [0] * len(poles)
 
     def power(e: int, n: int, series) -> Dict[int, Tuple[List[mp.mpf], List[float]]]:
-        # series[l]: (shift, coefficients, envelopes) of u^e·F_l.  With
-        # K = 1 each grade holds one part and u^e·(-1) lies beyond n or in
-        # grade 0, so there is nothing to multiply.
+        # series[l]: (shift, coefficients, envelopes) of u^e·F_l.
         out = [(z, [0] * d + list(s), [-math.inf] * d + list(es)) for z, (d, s, es) in zip(grades, series) if s]
-        if K > 1:
-            out.append((0, [0] * e + [mp.mpf(-1)], [-math.inf] * e + [0.0]))
-            base = out = _graded_mul(out, [(0, [1], [0.0])], n)  # sums equal grades
-            for _ in range(K - 1):
-                out = _graded_mul(out, base, n)
+        out.append((0, [0] * e + [mp.mpf(-1)], [-math.inf] * e + [0.0]))
+        base = out = _graded_mul(out, [(0, [1], [0.0])], n)  # sums equal grades
+        for _ in range(K - 1):
+            out = _graded_mul(out, base, n)
         return {z: (s if K % 2 else [-v for v in s], es) for z, s, es in out}
 
     at_poles = []

@@ -35,7 +35,7 @@ from esrsel.esr_engine import (
     esr_ss_exact,
     esr_ss_highsnr,
 )
-from esrsel.partial_fractions import pf_selection, required_dps
+from esrsel.partial_fractions import _MAX_DPS, pf_selection, required_dps
 from esrsel.simulation import _quadrature_esr_ratio_form, quadrature_esr
 from asymptote_reference import asymptote_offset
 from pole_set_reference import _exact_kernels, _pole_groups, member_terms, terms_per_pole_set, tuple_poles, xi
@@ -537,12 +537,27 @@ class TestFactorisedAssembly:
         want = oracle(cfg, scheme).value
         assert abs(fn(cfg).value - want) <= max(1e-6 * abs(want), 1e-8)  # C1's tolerance
 
-    @pytest.mark.parametrize("shape", [(5, 5, 5, 5), (6, 6, 4, 4)])
-    def test_large_high_snr_matches_oracle(self, shape):
-        # Beyond the four-by-four shapes, under the default budget.
+    @pytest.mark.parametrize(
+        "fn,oracle,scheme,shape",
+        [
+            pytest.param(esr_os_highsnr, _quadrature_esr_ratio_form, "OS", (5, 5, 5, 5), id="shape0"),
+            pytest.param(esr_os_highsnr, _quadrature_esr_ratio_form, "OS", (6, 6, 4, 4), id="shape1"),
+        ]
+        + [
+            pytest.param(fn, oracle, "SS", shape, id=f"{name}-{'-'.join(map(str, shape))}")
+            for fn, oracle, name in (
+                (esr_ss_exact, quadrature_esr, "ss_exact"),
+                (esr_ss_highsnr, _quadrature_esr_ratio_form, "ss_high_snr"),
+            )
+            for shape in ((4, 4, 6, 6), (6, 6, 4, 4), (8, 8, 3, 3))
+        ],
+    )
+    def test_large_high_snr_matches_oracle(self, fn, oracle, scheme, shape):
+        # Beyond the four-by-four shapes, under the default budget: OS
+        # high-SNR, and SS, which runs as OS(1, K·L) with K·L up to 64.
         cfg = SystemConfig(*shape, 100.0, LAMBDA_9DB)
-        want = _quadrature_esr_ratio_form(cfg, "OS").value
-        assert abs(esr_os_highsnr(cfg).value - want) <= max(1e-6 * abs(want), 1e-8)  # C1's tolerance
+        want = oracle(cfg, scheme).value
+        assert abs(fn(cfg).value - want) <= max(1e-6 * abs(want), 1e-8)  # C1's tolerance
 
     @pytest.mark.parametrize(
         "shape",
@@ -551,6 +566,9 @@ class TestFactorisedAssembly:
             (3, 3, 4, 4, 100.0, LAMBDA_9DB),
             (3, 3, 3, 3, 1.0, 1.0),
             (2, 2, 3, 3, 0.1, 1.0),
+            (1, 9, 3, 3, 100.0, LAMBDA_9DB),
+            (1, 16, 4, 4, 1.0, 1.0),
+            (1, 4, 3, 3, 0.1, 1.0),
         ],
     )
     @pytest.mark.parametrize("route", ["exact", "high_snr"])
@@ -568,9 +586,50 @@ class TestFactorisedAssembly:
         assert dps - correct <= claimed
 
 
+class TestOneTransmitter:
+    """K = 1 (OS(1, L), and SS at any K·L) closes in one dimension."""
+
+    def test_builds_no_table_and_no_partial_fraction(self, monkeypatch):
+        calls = []
+        for name in ("_v_tables", "pf_selection"):
+            real = getattr(esr_engine, name)
+            monkeypatch.setattr(
+                esr_engine, name, lambda *args, _real=real, _name=name: calls.append(_name) or _real(*args)
+            )
+        many, one = SystemConfig(2, 3, 2, 2, 10.0, 1.0), SystemConfig(1, 3, 2, 2, 10.0, 1.0)
+        for fn in (esr_ss_exact, esr_ss_highsnr, lambda c: esr_asymptotic(c, "SS")):
+            fn(many)
+            fn(one)
+        for fn in (esr_os_exact, esr_os_highsnr, lambda c: esr_asymptotic(c, "OS")):
+            fn(one)
+        assert calls == []
+        for fn in (esr_os_exact, esr_os_highsnr, lambda c: esr_asymptotic(c, "OS")):
+            fn(many)
+        assert calls == ["_v_tables", "pf_selection"] * 3
+
+    @pytest.mark.parametrize("lams", [(1e-30, 1.0), (1.0, 1e30), (1e30, 1.0), (1e40, 1.0)])
+    @pytest.mark.parametrize(
+        "fn,route",
+        [
+            (esr_os_exact, "exact"),
+            (esr_os_highsnr, "high_snr"),
+            (lambda cfg: esr_asymptotic(cfg, "OS"), "asymptotic"),
+        ],
+        ids=["exact", "high_snr", "asymptotic"],
+    )
+    def test_extreme_ratios_match_per_pole_set_reference(self, fn, route, lams):
+        # λ_D/λ_E = 1e-30, 1e30 and 1e40.  Where λ_D ≪ λ_E the ESR falls like
+        # (λ_D/λ_E)^{M_E}, so the signed sums cancel about 90 digits (and the
+        # exact form's Γ fill at β = 1e30 about 240 more); the reference runs
+        # from the finest precision.
+        cfg = SystemConfig(1, 3, 3, 3, *lams)
+        want = _with_retry(lambda: terms_per_pole_set(cfg, route), _MAX_DPS)[0]
+        assert fn(cfg).value == want
+
+
 class TestWeightTables:
-    """The row structure of the member tables, which ``_dps`` and ``_work``
-    assume and README states, for the tables either scheme runs on."""
+    """The row structure of the member tables, which ``_work`` and the
+    K ≥ 2 ``_dps`` assume and README states, at OS and SS shapes."""
 
     @pytest.mark.parametrize("exact", [True, False], ids=["exact", "ratio"])
     def test_rows_hold_their_orders_and_powers(self, exact):
