@@ -44,11 +44,16 @@ both levels: QUADPACK's G10/K21 rule and error estimate (Piessens et al.,
 panel's nodes in one vectorized integrand call.  Each outer round runs the
 inner integrals of all its new nodes as one batch, so no scalar integrand
 call and no ``scipy.integrate`` routine remains.  All probability quantities
-are assembled from survival functions (gammaincc / expm1 / log1p) so that
-1 - F keeps full relative accuracy even when F is within 1e-15 of one.
-``scipy.special`` (gammaincc and its inverse) is imported by the first
-quadrature call, not with this module: the closed forms and Monte Carlo
-never use it, and it is about half of a fresh process's import time.
+are assembled from survival functions (the Erlang sum / expm1 / log1p) so
+that 1 - F keeps full relative accuracy even when F is within 1e-15 of one.
+The shapes are integers, so the destination survival at each inner node is
+the Erlang sum e^{−t}·Σ_{k<M_D} t^k/k! (``_erlang_sf``), a few numpy passes;
+``scipy.special.gammaincc`` takes its place only where the inner range
+reaches t > 700 (M_D ≥ 471), past which e^{±t} leave the normal floats.
+``scipy.special`` (``gammainccinv``, which sets the clipping points, and
+that fallback) is imported by the first quadrature call, not with this
+module: the closed forms and Monte Carlo never use it, and it is about half
+of a fresh process's import time.
 """
 
 from __future__ import annotations
@@ -380,6 +385,34 @@ _G21 = np.zeros(21)
 _G21[1:10:2] = _WG
 _G21[11:20:2] = _WG[::-1]
 _EPS = np.finfo(float).eps
+# The fewest float steps of x the exact form's eavesdropper range may span.
+_MIN_E_STEPS = 2.0**20
+# Up to this t, e^{-t} and the Erlang sum (at most e^t) are normal floats.
+_ERLANG_T_MAX = 700.0
+
+
+def _erlang_sf(m: int, t: np.ndarray) -> np.ndarray:
+    """Q(m, t) = e^{−t}·Σ_{k<m} t^k/k!, the survival of a unit-rate Gamma(m)
+    variable at integer m, by Horner's rule.  Every term is positive, so the
+    sum keeps its relative accuracy in the far tail.  Valid for
+    0 ≤ t ≤ ``_ERLANG_T_MAX``; beyond it e^{−t} underflows first."""
+    q = np.ones_like(t)
+    for k in range(m - 1, 0, -1):
+        q *= t
+        q /= k
+        q += 1.0
+    q *= np.exp(-t)
+    return q
+
+
+def _survival(m: int, t_max: float) -> Callable[[np.ndarray], np.ndarray]:
+    """Q(m, ·) for arguments in [0, ``t_max``]: ``_erlang_sf`` where that
+    whole range is safe for it, else ``scipy.special.gammaincc``."""
+    if t_max <= _ERLANG_T_MAX:
+        return lambda t: _erlang_sf(m, t)
+    from scipy import special as sp
+
+    return lambda t: sp.gammaincc(m, t)
 
 
 def _gk21(
@@ -469,9 +502,14 @@ def _quadrature(
     integrates over u = arg at fixed x (the destination survival then varies
     on its own λ_D scale regardless of x), clipped where either the
     destination survival or the eavesdropper density tail drops below 1e-18
-    relative mass.  Like QUADPACK, it refuses tolerances that are negative,
-    not finite, or both zero, and also ones that are not real numbers or
-    are bools.
+    relative mass.  The destination survival Q(M_D, u/λ_D) is ``_survival``'s,
+    chosen once per call for u up to that clip: the Erlang sum for
+    M_D ≤ 470, scipy's ``gammaincc`` above.  Like QUADPACK, it refuses
+    tolerances that are negative, not finite, or both zero, and also ones
+    that are not real numbers or are bools.  The exact form raises
+    ``OracleFailureError`` when λ_E is too small for the float grid of x to
+    resolve the eavesdropper range (below about −112 dB at M_E = 1), where it
+    would otherwise stall or return a silent 0.
     """
     tols = (epsabs, epsrel)
     if not all(_is_real(t) and 0.0 <= t < math.inf for t in tols) or not any(tols):
@@ -487,6 +525,16 @@ def _quadrature(
     m_d, m_e = cfg.M_D, cfg.M_E
     y_max = lam_e * float(sp.gammainccinv(m_e, 1e-18))
     u_dest = lam_d * float(sp.gammainccinv(m_d, 1e-20))
+    dest_sf = _survival(m_d, u_dest / lam_d)
+    if not ratio_form and y_max < _MIN_E_STEPS * _EPS:
+        # The exact form's eavesdropper range [x − 1, x(1 + y_max) − 1] sits on
+        # the float grid of x, about x·eps apart.  Spanning fewer steps, its
+        # nodes and width are rounding noise, and below one step it rounds
+        # away, which would drop the mass of every node silently.
+        raise OracleFailureError(
+            f"eavesdropper range too narrow for the exact form: lambda_E={lam_e:.3g} "
+            f"gives y_max={y_max:.3g}, fewer than 2**20 float steps of x"
+        )
     lg_me = math.lgamma(m_e)
     ln_lam_e = math.log(lam_e)
     f_e0 = 1.0 / lam_e if m_e == 1 else 0.0
@@ -504,7 +552,7 @@ def _quadrature(
 
         def inner(owner: np.ndarray, u: np.ndarray) -> np.ndarray:
             xo = xs[owner][:, None]
-            q = sp.gammaincc(m_d, u / lam_d)
+            q = dest_sf(u / lam_d)
             s = np.where(q >= 1.0, 1.0, -np.expm1(l_eff * np.log1p(-q)))
             y = u / xo if ratio_form else (u + 1.0) / xo - 1.0
             dens = np.exp((m_e - 1) * np.log(y) - y / lam_e - lg_me - m_e * ln_lam_e)

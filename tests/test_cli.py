@@ -684,6 +684,18 @@ class TestExitCodes:
         assert "error" in err.lower()
         assert "method='quadrature'" in err
 
+    def test_oracle_failure_maps_to_one(self, capsys):
+        # At -300 dB the exact-form oracle cannot resolve the eavesdropper
+        # range; it used to print a 0 row and exit 0.
+        code, out, err = run_cli(
+            ["esr", "--scheme", "both", "--method", "quadrature", "--lambda-e-db", "-300"],
+            capsys,
+        )
+        assert code == 1
+        assert err.startswith("error: ")
+        assert "too narrow" in err
+        assert out == ""
+
     @pytest.mark.parametrize("m", ["2", "3"])
     def test_symmetric_asymptotic_ratio_is_zero(self, capsys, m):
         # The sum cancels to 0; that is the value, not a cancellation error.

@@ -10,8 +10,10 @@ import math
 import tracemalloc
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
+from scipy import special as sp
 
 from esrsel.channel_model import CorrelationConfig, SystemConfig
 from esrsel import simulation
@@ -19,16 +21,19 @@ from esrsel.errors import DomainError, OracleFailureError
 from esrsel.esr_engine import esr_os_exact
 from esrsel.simulation import (
     CHUNK_SIZE,
+    _ERLANG_T_MAX,
     _G21,
     _W21,
     _X21,
     _chunk_rates,
     _draw_groups,
+    _erlang_sf,
     _gk21,
     _link_snrs,
     _mc_mean,
     _quadrature,
     _substream,
+    _survival,
     estimate_esr,
     paired_esr_difference,
     quadrature_esr,
@@ -849,6 +854,24 @@ class TestQuadratureEsr:
         oracle = quadrature_esr(cfg, "OS").value
         assert abs(closed - oracle) <= max(1e-6 * abs(oracle), 1e-8)
 
+    @pytest.mark.parametrize(
+        "shape,scheme,lam_e",
+        [((1, 1, 1, 1), "OS", 1e-30), ((2, 2, 2, 2), "SS", 1e-30), ((2, 2, 2, 2), "SS", 10.0 ** -17.3)],
+        ids=["os-300dB", "ss-300dB", "ss-173dB"],
+    )
+    def test_unresolvable_eavesdropper_range_raises(self, shape, scheme, lam_e):
+        # At -300 dB, x(1 + y_max) - 1 rounds to x - 1 and the oracle used to
+        # return 0 with 0 evaluations (the closed forms give 2.9065 and
+        # 5.0715); at -173 dB the range spans a few float steps and it
+        # returned about 10^-27.
+        with pytest.raises(OracleFailureError, match="too narrow"):
+            quadrature_esr(SystemConfig(*shape, 10.0, lam_e), scheme)
+
+    def test_small_eavesdropper_snr_still_resolves(self):
+        # -90 dB is inside the range the exact form resolves.
+        cfg = SystemConfig(2, 2, 2, 2, 10.0, 1e-9)
+        assert rel_err(quadrature_esr(cfg, "OS").value, esr_os_exact(cfg).value) < 1e-8
+
 
 def _k21_once(f, a, b):
     """The single-panel K21 value: a panel limit of one stops all bisection."""
@@ -981,3 +1004,63 @@ class TestAgainstQuadpackReference:
         # sets; both values then sit within the outer epsrel of each other.
         new, ref = _both((*shape, 1e8, 1e4 * LAMBDA_9DB, False))
         assert abs(new.value - ref.value) <= 1e-9 * ref.value
+
+
+_SURVIVAL_SHAPES = (1, 2, 3, 4, 8, 40, 100, 560, 600, 1000)
+
+
+def _clip_t(m):
+    """The largest destination argument the oracle evaluates at shape m."""
+    return float(sp.gammainccinv(m, 1e-20))
+
+
+class TestDestinationSurvival:
+    """Q(M_D, t) as the oracle's inner integrand evaluates it: the Erlang sum
+    where e^{±t} stay normal floats, scipy's gammaincc beyond."""
+
+    @pytest.mark.parametrize("m", _SURVIVAL_SHAPES)
+    def test_matches_gammaincc_up_to_the_clip(self, m):
+        # gammaincc's own error grows with the shape (about 2000 ulps at
+        # M = 470 against mpmath), so the bound is 2e-14 + 2e-15·M relative.
+        t_max = _clip_t(m)
+        t = np.concatenate([[0.0], np.geomspace(1e-300, t_max, 4001)])
+        got, want = _survival(m, t_max)(t), sp.gammaincc(m, t)
+        assert np.isfinite(got).all()
+        assert (np.abs(got - want) <= (2e-14 + 2e-15 * m) * want).all()
+        assert got[-1] > 0.0
+        if t_max > _ERLANG_T_MAX:
+            assert (got == want).all()
+
+    @pytest.mark.parametrize("m", [1, 3, 40, 100, 470])
+    def test_erlang_sum_is_within_64_ulps_of_mpmath(self, m):
+        t = np.linspace(0.0, min(_clip_t(m), _ERLANG_T_MAX), 41)
+        got = _erlang_sf(m, t)
+        with mp.workdps(40):
+            want = np.array([float(mp.gammainc(m, mp.mpf(x), mp.inf, regularized=True)) for x in t])
+        assert (np.abs(got - want) <= 64 * np.finfo(float).eps * want).all()
+
+    def test_first_fallback_shape_is_471(self):
+        # M_D = 471 is the first shape whose clip passes t = 700.
+        assert _clip_t(470) <= _ERLANG_T_MAX < _clip_t(471)
+
+    @pytest.mark.parametrize("m_d", [600, 1000])
+    def test_large_shapes_give_finite_values(self, m_d):
+        r = quadrature_esr(SystemConfig(1, 1, m_d, 1, 10.0, 1.0), "OS")
+        assert math.isfinite(r.value) and r.value > 0.0
+
+    @pytest.mark.parametrize("m_d", [3, 470])
+    def test_same_counts_and_values_as_gammaincc(self, m_d, monkeypatch):
+        cfg = SystemConfig(2, 2, m_d, 2, 10.0, 1.0)
+        erlang = quadrature_esr(cfg, "OS")
+        monkeypatch.setattr(simulation, "_ERLANG_T_MAX", -1.0)
+        scipy_sf = quadrature_esr(cfg, "OS")
+        assert erlang.term_count == scipy_sf.term_count
+        assert abs(erlang.value - scipy_sf.value) <= 5e-16 * scipy_sf.value
+
+    def test_validate_small_grid_never_calls_gammaincc(self, monkeypatch):
+        def refuse(*_args):
+            raise AssertionError("gammaincc called")
+
+        monkeypatch.setattr(sp, "gammaincc", refuse)
+        for point in _VALIDATE_SMALL:
+            assert _quadrature(SystemConfig(*point[:6]), "OS", False, 1e-12, 1e-9).value > 0.0
