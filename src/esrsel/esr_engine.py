@@ -16,10 +16,15 @@ evaluated as OS(1, K·L)) the eavesdropper SNR is independent of the
 selected destination SNR, and the ESR is one integral over the destination
 SNR, closed term by term against incomplete-gamma moments
 (``_one_transmitter_terms``); no weight table or partial fraction is built.
-For K ≥ 2, one ``pf_selection`` call decomposes the whole integrand built
-from the tables, one truncated expansion per pole, grade by grade in z, and
-each grade l̃ closes at β = l̃/λ_D; its ratio form (high-SNR and
-asymptotic) is the exact form at β = 0 and closes with logs.
+That closing carries its intermediates as libmp values (the raw tuples of
+``mpmath.libmp``), not mpf objects: each step is the libmp call the mpf
+operator makes, in the same order, at the context's precision and rounding,
+so the results are those of mpf arithmetic bit for bit, without the
+wrapper's per-operation cost.  For K ≥ 2, one ``pf_selection`` call
+decomposes the whole integrand built from the tables, one truncated
+expansion per pole, grade by grade in z, and each grade l̃ closes at
+β = l̃/λ_D; its ratio form (high-SNR and asymptotic) is the exact form at
+β = 0 and closes with logs.
 ``asymptote_line`` reads its offset off one asymptotic value.
 
 All assembly runs in mpmath at an adaptively chosen precision — the signed
@@ -36,6 +41,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Tuple
 
 import mpmath as mp
+from mpmath.libmp import fone, from_int, fzero, mpf_add, mpf_div, mpf_mul, mpf_mul_int, mpf_rdiv_int, mpf_sub
 
 from .channel_model import SystemConfig, _index
 from .errors import CancellationError, ComplexityBudgetError, DomainError
@@ -52,7 +58,6 @@ from .partial_fractions import (
     _ln,
     _log_rational_assembly,
     _mag_ln,
-    _pow_list,
     pf_selection,
     required_dps,
 )
@@ -196,8 +201,18 @@ def _ln_add(a: float, b: float) -> float:
     return hi if lo == -math.inf else hi + math.log1p(math.exp(lo - hi))
 
 
-def _moments(beta: mp.mpf, n: int, exact: bool) -> Tuple[List[mp.mpf], List[float]]:
-    """J_k = I_k(β)/k! for k < n, with their envelopes.
+def _powers(x: tuple, n: int, prec: int, rnd: str) -> List[tuple]:
+    """[1, x, …, x^{n-1}] of a libmp value, by the products ``_pow_list``
+    forms."""
+    out = [fone]
+    for _ in range(n - 1):
+        out.append(mpf_mul(out[-1], x, prec, rnd))
+    return out
+
+
+def _moments(beta: tuple, n: int, exact: bool) -> Tuple[List[tuple], List[float]]:
+    """J_k = I_k(β)/k! for k < n, with their envelopes, as libmp values at
+    the working precision; β is a libmp value too.
 
     In the exact form I_k(β) = ∫_0^∞ y^k e^{-βy} dy/(1+y) = k! e^β Γ(-k, β),
     and J_k = (β^{-k} − J_{k-1})/k from J_0 = e^β E1(β): the downward
@@ -205,16 +220,23 @@ def _moments(beta: mp.mpf, n: int, exact: bool) -> Tuple[List[mp.mpf], List[floa
     the two magnitudes, so it carries the fill's losses.  In the ratio form
     I_k(β) = ∫_0^∞ y^{k-1} e^{-βy} dy = (k-1)!/β^k for k ≥ 1, and J_0 is 0:
     the two k = 0 terms pair into a log.
+
+    Every step is the libmp call the mpf operator would make (``1/β`` is
+    ``mpf_rdiv_int``, ``x − y`` is ``mpf_sub``, ``x/k`` is ``mpf_div`` by
+    ``from_int(k)``), so the values are those of an mpf-object fill, bit
+    for bit.  Only e^β and E1(β) are mpf calls.
     """
-    inv = _pow_list(1 / beta, n)
+    prec, rnd = mp.mp._prec_rounding
+    inv = _powers(mpf_rdiv_int(1, beta, prec, rnd), n, prec, rnd)
     if not exact:
-        js = [mp.mpf(0)] + [inv[k] / k for k in range(1, n)]
+        js = [fzero] + [mpf_div(inv[k], from_int(k), prec, rnd) for k in range(1, n)]
         return js, [_mag_ln(j) for j in js]
-    js = [mp.exp(beta) * mp.e1(beta)]
+    b = mp.mp.make_mpf(beta)
+    js = [mpf_mul(mp.exp(b)._mpf_, mp.e1(b)._mpf_, prec, rnd)]
     envs = [_mag_ln(js[0])]
-    ln_inv = -_ln(beta)
+    ln_inv = -_ln(b)
     for k in range(1, n):
-        js.append((inv[k] - js[-1]) / k)
+        js.append(mpf_div(mpf_sub(inv[k], js[-1], prec, rnd), from_int(k), prec, rnd))
         envs.append(_ln_add(k * ln_inv, envs[-1]) - math.log(k))
     return js, envs
 
@@ -235,17 +257,28 @@ def _one_transmitter_terms(cfg: SystemConfig, form: str) -> Tuple[mp.mpf, int, f
     Each polynomial is kept as k!·(coefficient of y^k), the powers of
     e_{M_D−1} in exact integers.  Every closing sum is a ``_dot``, and each
     term's envelope carries those of its factors, the Γ fill's included.
+
+    The intermediates are libmp values, not mpf objects: each is the
+    ``mpf_mul``, ``mpf_mul_int``, ``mpf_add``, ``mpf_sub``, ``mpf_div`` or
+    ``mpf_rdiv_int`` call the mpf operator would make, in the same order, at
+    the context's precision and rounding, so every value, term count and
+    envelope is what mpf arithmetic gives, bit for bit, without the
+    wrapper's cost.  mpf objects remain for λ_D and λ_E, the arguments and
+    results of ``mp.exp``, ``mp.e1``, ``mp.log`` and ``mp.log1p``, the sums
+    ``_dot`` returns and the total.
     """
     exact, asymptotic = form == "exact", form == "asymptotic"
     L, M_D, M_E = cfg.L, cfg.M_D, cfg.M_E
-    lam_D, lam_E = mp.mpf(cfg.lambda_D), mp.mpf(cfg.lambda_E)
-    u, v = 1 / lam_D, 1 / lam_E
+    prec, rnd = mp.mp._prec_rounding
+    lam_D, lam_E = mp.mpf(cfg.lambda_D)._mpf_, mp.mpf(cfg.lambda_E)._mpf_
+    u, v = mpf_rdiv_int(1, lam_D, prec, rnd), mpf_rdiv_int(1, lam_E, prec, rnd)
     # uv[j][i] = u^j v^i, and ln C(j+i, i): shared by every l.
-    uv = [[uj * vi for vi in _pow_list(v, M_E)] for uj in _pow_list(u, L * (M_D - 1) + 1)]
+    v_pows = _powers(v, M_E, prec, rnd)
+    uv = [[mpf_mul(uj, vi, prec, rnd) for vi in v_pows] for uj in _powers(u, L * (M_D - 1) + 1, prec, rnd)]
     e_uv = [[_mag_ln(x) for x in row] for row in uv]
     ln_comb = [[math.log(math.comb(j + i, i)) for i in range(M_E)] for j in range(len(uv))]
     if asymptotic:
-        harmonic = _dot([(1, mp.mpf(1) / i, -math.log(i)) for i in range(1, M_E)])
+        harmonic = _dot([(1, mpf_div(fone, from_int(i), prec, rnd), -math.log(i)) for i in range(1, M_E)])
     first = 0 if exact else 1  # the ratio form's k = 0 terms pair into a log
     outer: Terms = []
     n_terms = 0
@@ -258,7 +291,7 @@ def _one_transmitter_terms(cfg: SystemConfig, form: str) -> Tuple[mp.mpf, int, f
         w = (-1) ** (l + 1) * math.comb(L, l)
         ln_a = [math.log(x) for x in a]
         if not exact:
-            c = lam_D / (l * lam_E)
+            c = mp.mp.make_mpf(mpf_div(lam_D, mpf_mul_int(lam_E, l, prec, rnd), prec, rnd))
             log_c = mp.log(c) if asymptotic else mp.log1p(c)
             outer.append((w, log_c, _mag_ln(log_c)))
             n_terms += 1
@@ -267,10 +300,15 @@ def _one_transmitter_terms(cfg: SystemConfig, form: str) -> Tuple[mp.mpf, int, f
             n_terms += 1
         # q_l at β_l (the i = 0 terms) and, except in the asymptotic form,
         # q_l·r at β_l + 1/λ_E: term (j, i) is C(j+i, i) a_j u^j v^i J_{j+i}.
-        for weight, rate, r_len in [(w, l * u, 1)] + ([] if asymptotic else [(-w, l * u + v, M_E)]):
+        lu = mpf_mul_int(u, l, prec, rnd)
+        for weight, rate, r_len in [(w, lu, 1)] + ([] if asymptotic else [(-w, mpf_add(lu, v, prec, rnd), M_E)]):
             js, ejs = _moments(rate, len(a) + r_len - 1, exact)
             closing = [
-                (math.comb(j + i, i) * a[j], uv[j][i] * js[j + i], ln_comb[j][i] + ln_a[j] + e_uv[j][i] + ejs[j + i])
+                (
+                    math.comb(j + i, i) * a[j],
+                    mpf_mul(uv[j][i], js[j + i], prec, rnd),
+                    ln_comb[j][i] + ln_a[j] + e_uv[j][i] + ejs[j + i],
+                )
                 for j in range(len(a)) for i in range(r_len) if j + i >= first
             ]
             outer.append((weight, *_dot(closing)))
@@ -473,8 +511,14 @@ def asymptote_line(cfg: SystemConfig, scheme: str) -> AsymptoticLine:
     The asymptotic route is exactly affine in log2 λ_D with slope 1, so one
     evaluation of ``esr_asymptotic`` at λ_D = 2^64·λ_E fixes the offset.
     ``cfg.lambda_D`` is ignored.  Raises ComplexityBudgetError when that
-    evaluation is over ``DEFAULT_BUDGET``.
+    evaluation is over ``DEFAULT_BUDGET``, and DomainError when 2^64·λ_E
+    overflows a float (λ_E above 2^-64·DBL_MAX ≈ 9.7·10²⁸⁸).
     """
     lam_ref = _LINE_REF * cfg.lambda_E
+    if not math.isfinite(lam_ref):
+        raise DomainError(
+            f"lambda_E = {cfg.lambda_E!r} is too large for asymptote_line: its reference point "
+            f"lambda_D = 2^64*lambda_E overflows a float (lambda_E must be at most 2^-64*DBL_MAX, about 9.7e288)"
+        )
     value = esr_asymptotic(replace(cfg, lambda_D=lam_ref), scheme).value
     return AsymptoticLine(1.0, math.log2(lam_ref) - value)

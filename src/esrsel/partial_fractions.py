@@ -34,7 +34,7 @@ import math
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import mpmath as mp
-from mpmath.libmp import from_int, mpf_mul, mpf_sum
+from mpmath.libmp import from_int, fzero, mpf_mul, mpf_sum
 
 from .errors import ContractError, DomainError
 
@@ -126,13 +126,15 @@ def required_dps(
 # mp core: partial fractions
 
 
-def _mag_ln(x: mp.mpf) -> float:
-    """Upper bound on ln|x| (-inf for zero): |x| ≤ 2^(exp + bc), read off
-    the mantissa's exponent and bit count as ``mp.mag`` does."""
-    _, man, exp, bc = x._mpf_
+def _mag_ln(x) -> float:
+    """Upper bound on ln|x| (-inf for zero) of an mpf or a libmp value:
+    |x| ≤ 2^(exp + bc), read off the mantissa's exponent and bit count as
+    ``mp.mag`` does."""
+    v = x if type(x) is tuple else x._mpf_
+    _, man, exp, bc = v
     if man:
         return (exp + bc) * _LN2
-    return -math.inf if not x else float(mp.mag(x)) * _LN2
+    return -math.inf if v == fzero else float(mp.mag(mp.mp.make_mpf(v))) * _LN2
 
 
 def _ln(x: mp.mpf) -> float:
@@ -160,24 +162,34 @@ Terms = List[Tuple[mp.mpf, mp.mpf, float]]
 
 
 def _raw(x) -> tuple:
-    """The libmp value of an mpf or an int; any other type raises."""
+    """The libmp value of an operand ``_dot`` does not check for by type (an
+    mpmath constant, say); anything without one raises."""
     try:
         return x._mpf_
     except AttributeError:
-        if type(x) is int:
-            return from_int(x)
-        raise TypeError(f"expected an mpf or an int, got {type(x).__name__}") from None
+        raise TypeError(f"expected an mpf, an int or a libmp value, got {type(x).__name__}") from None
 
 
 def _dot(terms: Terms) -> Tuple[mp.mpf, float]:
     """Σ a·b rounded once, with its envelope (largest term plus log count).
 
     What ``mp.fdot`` computes for real operands: exact products, one sum
-    rounded at the working precision."""
+    rounded at the working precision.  Each operand is an mpf, an int or a
+    libmp value (the raw ``(sign, man, exp, bc)`` tuple of ``mpmath.libmp``);
+    a type check per operand reads its libmp value in place, and any other
+    type goes to ``_raw``, which refuses bools, floats, mpc and numpy
+    scalars.  The sum comes back as an mpf."""
     if not terms:
         return mp.mpf(0), -math.inf
     prec, rnd = mp.mp._prec_rounding
-    value = mpf_sum([mpf_mul(_raw(a), _raw(b)) for a, b, _ in terms], prec, rnd)
+    mpf = mp.mpf
+    value = mpf_sum([
+        mpf_mul(
+            a if type(a) is tuple else a._mpf_ if type(a) is mpf else from_int(a) if type(a) is int else _raw(a),
+            b if type(b) is tuple else b._mpf_ if type(b) is mpf else from_int(b) if type(b) is int else _raw(b),
+        )
+        for a, b, _ in terms
+    ], prec, rnd)
     return mp.mp.make_mpf(value), max(e for _, _, e in terms) + math.log(len(terms))
 
 

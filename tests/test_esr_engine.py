@@ -299,6 +299,22 @@ class TestAsymptoteLine:
         assert line.slope == 1.0
         assert abs(line.offset - fitted) <= 1e-8, (shape, line.offset, fitted)
 
+    def test_reference_point_past_float_range_names_lambda_e(self):
+        # asymptote_line reads its offset at λ_D = 2^64·λ_E.  Past
+        # 2^-64·DBL_MAX that point overflows, and the refusal must be about
+        # λ_E, not about a λ_D the caller never passed.
+        edge = sys.float_info.max / 2.0**64
+        for lam_e in (1e290, math.nextafter(edge, math.inf)):
+            for scheme in ("OS", "SS"):
+                with pytest.raises(DomainError, match="lambda_E") as err:
+                    asymptote_line(SystemConfig(2, 2, 2, 2, 10.0, lam_e), scheme)
+                assert "2^64" in str(err.value)
+                assert "lambda_D must be" not in str(err.value)
+        for scheme in ("OS", "SS"):
+            line = asymptote_line(SystemConfig(2, 2, 2, 2, 10.0, edge), scheme)
+            want = math.log2(2.0**64 * edge) - esr_asymptotic(SystemConfig(2, 2, 2, 2, 2.0**64 * edge, edge), scheme).value
+            assert line.offset == want and math.isfinite(want)
+
 
 class TestXiIdentity:
     @pytest.mark.parametrize("k", [1, 2, 3])
@@ -625,6 +641,43 @@ class TestOneTransmitter:
         cfg = SystemConfig(1, 3, 3, 3, *lams)
         want = _with_retry(lambda: terms_per_pole_set(cfg, route), _MAX_DPS)[0]
         assert fn(cfg).value == want
+
+
+class TestMoments:
+    """``_moments`` fills J_k on libmp values; it must give the mpf-object
+    fill bit for bit, values and envelopes."""
+
+    @staticmethod
+    def mpf_fill(beta, n, exact):
+        # J_0 = e^β E1(β), J_k = (β^{-k} − J_{k-1})/k; ratio form β^{-k}/k.
+        x = 1 / beta
+        inv = [mp.mpf(1)]
+        for _ in range(n - 1):
+            inv.append(inv[-1] * x)
+        ln2 = math.log(2.0)
+        mag = lambda j: float(mp.mag(j)) * ln2 if j else -math.inf
+        if not exact:
+            js = [mp.mpf(0)] + [inv[k] / k for k in range(1, n)]
+            return js, [mag(j) for j in js]
+        js = [mp.exp(beta) * mp.e1(beta)]
+        envs = [mag(js[0])]
+        ln_inv = -math.log(float(beta))
+        for k in range(1, n):
+            js.append((inv[k] - js[-1]) / k)
+            hi, lo = max(k * ln_inv, envs[-1]), min(k * ln_inv, envs[-1])
+            envs.append(hi + math.log1p(math.exp(lo - hi)) - math.log(k))
+        return js, envs
+
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "ratio"])
+    @pytest.mark.parametrize("dps", [15, 53, 120])
+    def test_matches_the_mpf_fill(self, dps, exact):
+        with mp.workdps(dps):
+            for b, n in itertools.product((1e-8, 1e-3, 0.37, 1.0, 20.0, 1e4), (1, 2, 9, 40)):
+                beta = mp.mpf(b)
+                js, envs = esr_engine._moments(beta._mpf_, n, exact)
+                want, want_envs = self.mpf_fill(beta, n, exact)
+                assert js == [j._mpf_ for j in want], (b, n)
+                assert envs == want_envs, (b, n)
 
 
 class TestWeightTables:

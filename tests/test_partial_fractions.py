@@ -15,6 +15,7 @@ import random
 import mpmath as mp
 import numpy as np
 import pytest
+from mpmath.libmp import from_int
 from scipy.integrate import quad
 
 from esrsel.errors import ContractError
@@ -337,18 +338,23 @@ def random_operand(rng):
 
 
 class TestDot:
-    """``_dot`` and ``_mag_ln`` read mpmath's raw values; they must give
-    ``mp.fdot``'s and ``mp.mag``'s results bit for bit."""
+    """``_dot`` and ``_mag_ln`` read mpmath's raw values, and take them as
+    operands too; they must give ``mp.fdot``'s and ``mp.mag``'s results bit
+    for bit."""
 
     @pytest.mark.parametrize("dps", [15, 53, 120])
     def test_dot_is_fdot(self, dps):
+        # Each operand goes in as drawn or, half the time, as its exact libmp
+        # value, so every mix of mpf, int and libmp operands occurs.
         rng = random.Random(dps)
+        raw = lambda x: from_int(x) if type(x) is int else x._mpf_
         with mp.workdps(dps):
             for n in (1, 2, 7, 40):
                 for _ in range(25):
                     pairs = [(random_operand(rng), random_operand(rng)) for _ in range(n)]
+                    mixed = [tuple(raw(x) if rng.random() < 0.5 else x for x in pair) for pair in pairs]
                     envelopes = [rng.uniform(-50.0, 50.0) for _ in range(n)]
-                    value, envelope = _dot([(a, b, e) for (a, b), e in zip(pairs, envelopes)])
+                    value, envelope = _dot([(a, b, e) for (a, b), e in zip(mixed, envelopes)])
                     assert type(value) is mp.mpf
                     assert value._mpf_ == mp.fdot(pairs)._mpf_
                     assert envelope == max(envelopes) + math.log(n)
@@ -360,6 +366,8 @@ class TestDot:
             _dot([(mp.mpf(1), bad, 0.0)])
         with pytest.raises(TypeError):
             _dot([(bad, 3, 0.0)])
+        with pytest.raises(TypeError):
+            _dot([(mp.mpf(2)._mpf_, bad, 0.0)])
 
     def test_mag_ln_is_mag(self):
         rng = random.Random(5)
@@ -367,3 +375,4 @@ class TestDot:
         for x in [mp.mpf(v) for v in values] + [mp.mpf(0), mp.mpf(1), mp.mpf(-0.5), mp.inf]:
             want = -math.inf if not x else float(mp.mag(x)) * math.log(2.0)
             assert _mag_ln(x) == want, x
+            assert _mag_ln(x._mpf_) == want, x
