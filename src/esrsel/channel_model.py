@@ -40,19 +40,27 @@ def _is_real(v) -> bool:
     return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 
-def _check_count(name: str, v) -> None:
-    """A multipath or node count: an integer (``_index``) >= 1."""
+def _count(name: str, v) -> int:
+    """A multipath or node count: an integer (``_index``) >= 1, as an int."""
     try:
-        ok = _index(v) >= 1
+        n = _index(v)
     except TypeError:
-        ok = False
-    if not ok:
+        n = 0
+    if n < 1:
         raise DomainError(f"{name} must be an integer >= 1, got {v!r}")
+    return n
 
 
-def _check_scale(name: str, v) -> None:
-    if not (_is_real(v) and v > 0.0 and math.isfinite(v)):
+def _scale(name: str, v) -> float:
+    """A real (``_is_real``) that is positive and finite as a float, as that
+    float."""
+    try:
+        f = float(v) if _is_real(v) else math.nan
+    except OverflowError:
+        f = math.inf
+    if not (f > 0.0 and math.isfinite(f)):
         raise DomainError(f"{name} must be positive and finite, got {v!r}")
+    return f
 
 
 @dataclass(frozen=True)
@@ -60,7 +68,9 @@ class SystemConfig:
     """Full parameterization of the selection network.
 
     lambda_D and lambda_E are linear (not dB) average per-path SNRs; the CLI
-    converts from dB at the boundary.
+    converts from dB at the boundary.  The fields hold Python types whatever
+    was passed: each count as an int, each λ as a float, so no numpy integer
+    wraps and no ``Fraction`` or numpy float reaches mpmath or numpy.
     """
 
     K: int
@@ -72,9 +82,9 @@ class SystemConfig:
 
     def __post_init__(self) -> None:
         for name in ("K", "L", "M_D", "M_E"):
-            _check_count(name, getattr(self, name))
+            object.__setattr__(self, name, _count(name, getattr(self, name)))
         for name in ("lambda_D", "lambda_E"):
-            _check_scale(name, getattr(self, name))
+            object.__setattr__(self, name, _scale(name, getattr(self, name)))
 
 
 @dataclass(frozen=True)

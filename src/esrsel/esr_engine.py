@@ -23,7 +23,8 @@ so the results are those of mpf arithmetic bit for bit, without the
 wrapper's per-operation cost.  For K ≥ 2, one ``pf_selection`` call
 decomposes the whole integrand built from the tables, one truncated
 expansion per pole, grade by grade in z, and each grade l̃ closes at
-β = l̃/λ_D; its ratio form (high-SNR and asymptotic) is the exact form at
+β = l̃/λ_D against the same ``_moments`` fill and its upward twin; its
+ratio form (high-SNR and asymptotic) is the exact form at
 β = 0 and closes with logs.
 ``asymptote_line`` reads its offset off one asymptotic value.
 
@@ -41,7 +42,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Tuple
 
 import mpmath as mp
-from mpmath.libmp import fone, from_int, fzero, mpf_add, mpf_div, mpf_mul, mpf_mul_int, mpf_rdiv_int, mpf_sub
+from mpmath.libmp import fone, from_int, mpf_add, mpf_div, mpf_mul, mpf_mul_int, mpf_rdiv_int
 
 from .channel_model import SystemConfig, _index
 from .errors import CancellationError, ComplexityBudgetError, DomainError
@@ -54,16 +55,16 @@ from .partial_fractions import (
     _close_exact,
     _descent_digits,
     _dot,
-    _GammaTable,
-    _ln,
     _log_rational_assembly,
     _mag_ln,
+    _moments,
+    _powers,
     pf_selection,
     required_dps,
 )
 
 # Not called here; imported only so that bench/tracer.py's BOUNDARIES resolve.
-from .partial_fractions import j0_exact_mp, j0_highsnr_mp, j1_highsnr_mp, pf_coefficients, single_pole_integral_mp  # noqa: F401
+from .partial_fractions import _GammaTable, j0_exact_mp, j0_highsnr_mp, j1_highsnr_mp, pf_coefficients, single_pole_integral_mp  # noqa: F401
 
 __all__ = [
     "EsrResult",
@@ -193,52 +194,6 @@ def _v_tables(cfg: SystemConfig, exact: bool, lam_D: mp.mpf, lam_E: mp.mpf) -> L
 
 # ---------------------------------------------------------------------------
 # one transmitter: a one-dimensional closing
-
-
-def _ln_add(a: float, b: float) -> float:
-    """ln(e^a + e^b)."""
-    hi, lo = max(a, b), min(a, b)
-    return hi if lo == -math.inf else hi + math.log1p(math.exp(lo - hi))
-
-
-def _powers(x: tuple, n: int, prec: int, rnd: str) -> List[tuple]:
-    """[1, x, …, x^{n-1}] of a libmp value, by the products ``_pow_list``
-    forms."""
-    out = [fone]
-    for _ in range(n - 1):
-        out.append(mpf_mul(out[-1], x, prec, rnd))
-    return out
-
-
-def _moments(beta: tuple, n: int, exact: bool) -> Tuple[List[tuple], List[float]]:
-    """J_k = I_k(β)/k! for k < n, with their envelopes, as libmp values at
-    the working precision; β is a libmp value too.
-
-    In the exact form I_k(β) = ∫_0^∞ y^k e^{-βy} dy/(1+y) = k! e^β Γ(-k, β),
-    and J_k = (β^{-k} − J_{k-1})/k from J_0 = e^β E1(β): the downward
-    Γ(-k, β) fill, scaled.  Each step is a signed sum, and its envelope adds
-    the two magnitudes, so it carries the fill's losses.  In the ratio form
-    I_k(β) = ∫_0^∞ y^{k-1} e^{-βy} dy = (k-1)!/β^k for k ≥ 1, and J_0 is 0:
-    the two k = 0 terms pair into a log.
-
-    Every step is the libmp call the mpf operator would make (``1/β`` is
-    ``mpf_rdiv_int``, ``x − y`` is ``mpf_sub``, ``x/k`` is ``mpf_div`` by
-    ``from_int(k)``), so the values are those of an mpf-object fill, bit
-    for bit.  Only e^β and E1(β) are mpf calls.
-    """
-    prec, rnd = mp.mp._prec_rounding
-    inv = _powers(mpf_rdiv_int(1, beta, prec, rnd), n, prec, rnd)
-    if not exact:
-        js = [fzero] + [mpf_div(inv[k], from_int(k), prec, rnd) for k in range(1, n)]
-        return js, [_mag_ln(j) for j in js]
-    b = mp.mp.make_mpf(beta)
-    js = [mpf_mul(mp.exp(b)._mpf_, mp.e1(b)._mpf_, prec, rnd)]
-    envs = [_mag_ln(js[0])]
-    ln_inv = -_ln(b)
-    for k in range(1, n):
-        js.append(mpf_div(mpf_sub(inv[k], js[-1], prec, rnd), from_int(k), prec, rnd))
-        envs.append(_ln_add(k * ln_inv, envs[-1]) - math.log(k))
-    return js, envs
 
 
 def _one_transmitter_terms(cfg: SystemConfig, form: str) -> Tuple[mp.mpf, int, float]:
@@ -426,9 +381,8 @@ def _terms(cfg: SystemConfig, form: str) -> Tuple[mp.mpf, int, float]:
     poles = [(lam_D / (l * lam_E), cfg.M_E + len(rows) - 1) for l, rows in enumerate(factors, 1)]
     cs = [c for c, _ in poles]
     pfs = pf_selection(factors, poles, cfg.K, exact)
-    tables: Dict[object, _GammaTable] = {}
     closed = [
-        _close_exact(cs, z / lam_D, pf, tables) if exact else _log_rational_assembly(cs, pf, form == "asymptotic")
+        _close_exact(cs, z / lam_D, pf) if exact else _log_rational_assembly(cs, pf, form == "asymptotic")
         for z, pf in pfs.items()
     ]
     n_terms = sum(1 for pf in pfs.values() for b in (pf.poly, [pf.origin], *pf.poles) for v in b if v)

@@ -3,9 +3,12 @@
 The ESR integrands over [1, ∞) are rational in x, times e^{-βx} in the
 exact form, with poles at the origin and at -c_g, c_g = λ_D/(l λ_E)
 distinct positive reals.  The exact form closes with Γ(a, z) at
-consecutive integer orders, filled by one E1 evaluation plus up/down
-recurrences; the ratio form (β = 0: high-SNR, and its λ_D → ∞ asymptotic
-variant) closes with logs and rational terms.
+consecutive integer orders, read off two fills on libmp values by the
+up/down recurrences: downward J_k(z) = e^z Γ(-k, z) from one E1
+evaluation (``_moments``, which the one-transmitter closing reads too),
+and upward P_j(β) = e^β Γ(j+1, β)/β^{j+1} (``_poly_moments``).  Each
+integral is e^{-β} times one of them.  The ratio form (β = 0: high-SNR,
+and its λ_D → ∞ asymptotic variant) closes with logs and rational terms.
 
 ``pf_selection`` decomposes the whole OS integrand x⁻¹[1 - (1 - Σ_l z^l
 F_l)^K] once, grade by grade in z = e^{-x/λ_D}; ``pf_coefficients``
@@ -34,7 +37,7 @@ import math
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import mpmath as mp
-from mpmath.libmp import from_int, fzero, mpf_mul, mpf_sum
+from mpmath.libmp import fone, from_int, fzero, mpf_add, mpf_div, mpf_mul, mpf_mul_int, mpf_rdiv_int, mpf_sub, mpf_sum
 
 from .errors import ContractError, DomainError
 
@@ -58,37 +61,87 @@ _MAX_DPS = 300  # no evaluation runs finer than this
 Factor = Sequence[Dict[int, mp.mpf]]
 
 # ---------------------------------------------------------------------------
-# mp core: incomplete-gamma tables
+# mp core: incomplete-gamma fills, on libmp values
+
+
+def _powers(x: tuple, n: int, prec: int, rnd: str) -> List[tuple]:
+    """[1, x, …, x^{n-1}] of a libmp value, by successive products."""
+    out = [fone]
+    for _ in range(n - 1):
+        out.append(mpf_mul(out[-1], x, prec, rnd))
+    return out
+
+
+def _ln_add(a: float, b: float) -> float:
+    """ln(e^a + e^b)."""
+    hi, lo = max(a, b), min(a, b)
+    return hi if lo == -math.inf else hi + math.log1p(math.exp(lo - hi))
+
+
+def _moments(beta: tuple, n: int, exact: bool) -> Tuple[List[tuple], List[float]]:
+    """J_k = I_k(β)/k! for k < n, with their envelopes, as libmp values at
+    the working precision; β is a libmp value too.
+
+    In the exact form I_k(β) = ∫_0^∞ y^k e^{-βy} dy/(1+y) = k! e^β Γ(-k, β),
+    and J_k = (β^{-k} − J_{k-1})/k from J_0 = e^β E1(β): the downward
+    Γ(-k, β) fill, scaled, whose losses ``_descent_digits`` bounds.  Each
+    step is a signed sum, and its envelope adds the two magnitudes, so it
+    carries the fill's losses.  In the ratio form I_k(β) = ∫_0^∞ y^{k-1}
+    e^{-βy} dy = (k-1)!/β^k for k ≥ 1, and J_0 is 0: the two k = 0 terms of
+    the one-transmitter closing pair into a log.
+
+    Every step is the libmp call the mpf operator would make (``1/β`` is
+    ``mpf_rdiv_int``, ``x − y`` is ``mpf_sub``, ``x/k`` is ``mpf_div`` by
+    ``from_int(k)``), so the values are those of an mpf-object fill, bit
+    for bit.  Only e^β and E1(β) are mpf calls.
+    """
+    prec, rnd = mp.mp._prec_rounding
+    inv = _powers(mpf_rdiv_int(1, beta, prec, rnd), n, prec, rnd)
+    if not exact:
+        js = [fzero] + [mpf_div(inv[k], from_int(k), prec, rnd) for k in range(1, n)]
+        return js, [_mag_ln(j) for j in js]
+    b = mp.mp.make_mpf(beta)
+    js = [mpf_mul(mp.exp(b)._mpf_, mp.e1(b)._mpf_, prec, rnd)]
+    envs = [_mag_ln(js[0])]
+    ln_inv = -_ln(b)
+    for k in range(1, n):
+        js.append(mpf_div(mpf_sub(inv[k], js[-1], prec, rnd), from_int(k), prec, rnd))
+        envs.append(_ln_add(k * ln_inv, envs[-1]) - math.log(k))
+    return js, envs
+
+
+def _poly_moments(beta: tuple, n: int) -> List[tuple]:
+    """P_j = e^β ∫_1^∞ x^j e^{-βx} dx = e^β Γ(j+1, β)/β^{j+1} for j < n,
+    n ≥ 1, as libmp values: P_0 = 1/β and P_j = (1 + j·P_{j-1})/β, the
+    upward Γ fill, scaled.  Every term is positive, so it cancels nothing."""
+    prec, rnd = mp.mp._prec_rounding
+    out = [mpf_rdiv_int(1, beta, prec, rnd)]
+    for j in range(1, n):
+        out.append(mpf_div(mpf_add(fone, mpf_mul_int(out[-1], j, prec, rnd), prec, rnd), beta, prec, rnd))
+    return out
 
 
 class _GammaTable:
-    """Γ(a, z) for consecutive integer orders a, filled by recurrence.
+    """Γ(a, z) at integer orders a, read off the two fills: e^{-z}·J_{-a}(z)
+    for a ≤ 0 and e^{-z}·z^a·P_{a-1}(z) for a ≥ 1.
 
-    Upward:   Γ(a+1, z) = a Γ(a, z) + z^a e^{-z}
-    Downward: Γ(a-1, z) = (z^{a-1} e^{-z} - Γ(a, z)) / (1 - a)
-    Both directions stay positive; the downward division by (1-a) keeps the
-    relative error bounded once the working precision covers the transient
-    growth (see ``_descent_digits``).
+    No closing reads it.  It stays for three readers: the identity tests of
+    ``tests/test_special_functions.py``, criterion 8's table check in
+    ``tests/test_acceptance.py``, and ``bench/tracer.py``'s ``BOUNDARIES``,
+    which wrap ``esr_engine._GammaTable`` by name.
     """
 
     def __init__(self, z: mp.mpf):
         self.z = z
-        self._exp_neg = mp.exp(-z)
-        self._vals: Dict[int, mp.mpf] = {0: mp.e1(z), 1: self._exp_neg}
-        self._lo = 0
-        self._hi = 1
 
     def get(self, a: int) -> mp.mpf:
-        while self._hi < a:
-            h = self._hi
-            self._vals[h + 1] = h * self._vals[h] + mp.power(self.z, h) * self._exp_neg
-            self._hi += 1
-        while self._lo > a:
-            lo = self._lo
-            b = mp.power(self.z, lo - 1) * self._exp_neg
-            self._vals[lo - 1] = (b - self._vals[lo]) / (1 - lo)
-            self._lo -= 1
-        return self._vals[a]
+        prec, rnd = mp.mp._prec_rounding
+        z = self.z._mpf_
+        if a <= 0:
+            fill = _moments(z, 1 - a, True)[0][-a]
+        else:
+            fill = mpf_mul(_powers(z, a + 1, prec, rnd)[a], _poly_moments(z, a)[-1], prec, rnd)
+        return mp.exp(-self.z) * mp.mp.make_mpf(fill)
 
 
 def _descent_digits(z: float, depth: int) -> float:
@@ -143,11 +196,9 @@ def _ln(x: mp.mpf) -> float:
 
 
 def _pow_list(x: mp.mpf, n: int) -> List[mp.mpf]:
-    """[1, x, …, x^{n-1}] by successive products."""
-    out = [mp.mpf(1)]
-    for _ in range(n - 1):
-        out.append(out[-1] * x)
-    return out
+    """[1, x, …, x^{n-1}] as mpf values: ``_powers`` of x's libmp value."""
+    make = mp.mp.make_mpf
+    return [make(v) for v in _powers(x._mpf_, n, *mp.mp._prec_rounding)]
 
 
 def _binom(e: int, k: int) -> int:
@@ -396,80 +447,43 @@ def _close(integrals) -> Tuple[mp.mpf, float]:
     return _dot([(a, i, e + _mag_ln(i)) for a, e, i in integrals if a])
 
 
-def _table(tables: Dict[object, _GammaTable], z: mp.mpf) -> _GammaTable:
-    tab = tables.get(z)
-    if tab is None:
-        tab = tables[z] = _GammaTable(z)
-    return tab
-
-
-def _close_exact(
-    cs: Sequence[mp.mpf], beta: mp.mpf, pf: PartialFractions, tables: Dict[object, _GammaTable]
-) -> Tuple[mp.mpf, float]:
+def _close_exact(cs: Sequence[mp.mpf], beta: mp.mpf, pf: PartialFractions) -> Tuple[mp.mpf, float]:
     """∫_1^∞ e^{-βx} R(x) dx for R given by its partial fractions ``pf``
-    over the poles -cs: the polynomial part closes with Γ(j+1, β)/β^{j+1},
-    the origin with E1(β) and each pole term with e^{βc} β^{t-1}
-    Γ(1-t, β(1+c)).  Only nonzero coefficients are closed."""
-    beta_pw = _pow_list(beta, max([len(pf.poly) + 2] + [len(b) + 1 for b in pf.poles]))
+    over the poles -cs, from the two fills: the origin closes with
+    e^{-β}·J_0(β) = E1(β), the polynomial part's x^j with e^{-β}·P_j(β), and
+    each pole term 1/(x+c)^t with e^{-β}·β^{t-1}·J_{t-1}(β(1+c)), which is
+    e^{βc} β^{t-1} Γ(1-t, β(1+c)).  Each integral takes its e^{-β} before
+    the sum, so its envelope is that of the integral.  Only nonzero
+    coefficients are closed."""
+    prec, rnd = mp.mp._prec_rounding
+    b, scale = beta._mpf_, mp.exp(-beta)._mpf_
+    beta_pw = _powers(b, max(map(len, pf.poles), default=1), prec, rnd)
 
     def integrals():
-        at_beta = _table(tables, beta) if pf.origin or any(pf.poly) else None
         if pf.origin:
-            yield pf.origin, pf.origin_ln, at_beta.get(0)
-        for j, (p, e) in enumerate(zip(pf.poly, pf.poly_ln)):
-            if p:
-                yield p, e, at_beta.get(j + 1) / beta_pw[j + 1]
-        for c, b, eb in zip(cs, pf.poles, pf.poles_ln):
-            if any(b):
-                tab, ebc = _table(tables, beta * (1 + c)), mp.exp(beta * c)
-                for t, (a, e) in enumerate(zip(b, eb), 1):
-                    if a:
-                        yield a, e, beta_pw[t - 1] * ebc * tab.get(1 - t)
+            yield pf.origin, pf.origin_ln, mpf_mul(scale, _moments(b, 1, True)[0][0], prec, rnd)
+        if any(pf.poly):
+            for p, e, v in zip(pf.poly, pf.poly_ln, _poly_moments(b, len(pf.poly))):
+                yield p, e, mpf_mul(scale, v, prec, rnd)
+        for c, bs, ebs in zip(cs, pf.poles, pf.poles_ln):
+            if any(bs):
+                js, _ = _moments((beta * (1 + c))._mpf_, len(bs), True)
+                for a, e, bp, j in zip(bs, ebs, beta_pw, js):
+                    yield a, e, mpf_mul(scale, mpf_mul(bp, j, prec, rnd), prec, rnd)
 
     return _close(integrals())
 
 
-def j0_exact_mp(
-    poles: Sequence[Tuple[mp.mpf, int]],
-    beta: mp.mpf,
-    tables: Optional[Dict[object, _GammaTable]] = None,
-) -> Tuple[mp.mpf, float]:
+def j0_exact_mp(poles: Sequence[Tuple[mp.mpf, int]], beta: mp.mpf) -> Tuple[mp.mpf, float]:
     """∫_1^∞ e^{-βx} dx / (x Π_g (x+c_g)^{T_g})."""
-    pf = pf_coefficients(None, True, poles)
-    return _close_exact([c for c, _ in poles], beta, pf, {} if tables is None else tables)
+    return _close_exact([c for c, _ in poles], beta, pf_coefficients(None, True, poles))
 
 
-def single_pole_integral_mp(
-    nu: int,
-    T: int,
-    beta: mp.mpf,
-    c: mp.mpf,
-    table: Optional[_GammaTable] = None,
-) -> Tuple[mp.mpf, float]:
-    """∫_1^∞ x^{ν-1} e^{-βx} / (x+c)^T dx for ν ≥ 1, single pole.
-
-    Via x = y - c and a binomial expansion of (y-c)^{ν-1}:
-        Σ_j C(ν-1, j) (-c)^{ν-1-j} e^{βc} β^{T-j-1} Γ(j-T+1, β(1+c)).
-    """
+def single_pole_integral_mp(nu: int, T: int, beta: mp.mpf, c: mp.mpf) -> Tuple[mp.mpf, float]:
+    """∫_1^∞ x^{ν-1} e^{-βx} / (x+c)^T dx for ν ≥ 1, single pole."""
     if nu < 1:
         raise ContractError("single_pole_integral_mp needs nu >= 1")
-    if table is None:
-        table = _GammaTable(beta * (1 + c))
-    ebc = mp.exp(beta * c)
-    neg_c = -c
-    total = mp.mpf(0)
-    peak = -math.inf
-    for j in range(nu):
-        term = (
-            math.comb(nu - 1, j)
-            * mp.power(neg_c, nu - 1 - j)
-            * ebc
-            * mp.power(beta, T - j - 1)
-            * table.get(j - T + 1)
-        )
-        total += term
-        peak = max(peak, _mag_ln(term))
-    return total, peak
+    return _close_exact([c], beta, pf_coefficients(nu - 1, False, [(c, T)]))
 
 
 def _log_rational_assembly(

@@ -509,7 +509,9 @@ def _quadrature(
     that are not real numbers or are bools.  The exact form raises
     ``OracleFailureError`` when λ_E is too small for the float grid of x to
     resolve the eavesdropper range (below about −112 dB at M_E = 1), where it
-    would otherwise stall or return a silent 0.
+    would otherwise stall or return a silent 0.  Either form raises it when
+    the outer value is at most ``epsabs`` in magnitude: the tolerance cannot
+    resolve such a value, and what comes back is mostly noise or 0.
     """
     tols = (epsabs, epsrel)
     if not all(_is_real(t) and 0.0 <= t < math.inf for t in tols) or not any(tols):
@@ -592,6 +594,11 @@ def _quadrature(
         raise OracleFailureError(
             f"outer quadrature failed to converge: value {val:.6e}, "
             f"error estimate {err:.3e}: panel limit reached"
+        )
+    if abs(val) <= epsabs:
+        raise OracleFailureError(
+            f"outer value {val:.3e} is within epsabs={epsabs:.3g} of zero, "
+            f"which the tolerance cannot resolve"
         )
     return EsrResult(val / math.log(2.0), scheme, "quadrature", evals, peak)
 

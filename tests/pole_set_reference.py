@@ -31,7 +31,6 @@ from esrsel.channel_model import SystemConfig
 from esrsel.esr_engine import _conv2, _v_tables
 from esrsel.partial_fractions import (
     Factor,
-    _GammaTable,
     _mag_ln,
     j0_exact_mp,
     j0_highsnr_mp,
@@ -86,19 +85,15 @@ def _conv1(a: Dict[int, mp.mpf], b: Dict[int, mp.mpf]) -> Dict[int, mp.mpf]:
 
 def _exact_kernels(beta: mp.mpf, chis: List[mp.mpf]) -> Callable[[List[Tuple[mp.mpf, int]]], Kernel]:
     """Exact kernels of one composition: its pole sets, over the poles
-    -``chis`` in that order, share β = l̃/λ_D, the incomplete-gamma tables and
-    the single-pole integrals φ; several poles recombine φ through their
-    partial-fraction coefficients."""
-    zs = [beta * (1 + c) for c in chis]
-    tables = {z: _GammaTable(z) for z in zs}
+    -``chis`` in that order, share β = l̃/λ_D and the single-pole integrals
+    φ; several poles recombine φ through their partial-fraction
+    coefficients."""
     phi_cache: Dict[Tuple[int, int, int], Tuple[mp.mpf, float]] = {}
 
     def phi(g: int, t: int, nu: int) -> Tuple[mp.mpf, float]:
         key = (g, t, nu)
         if key not in phi_cache:
-            phi_cache[key] = single_pole_integral_mp(
-                nu, t, beta, chis[g], tables[zs[g]]
-            )
+            phi_cache[key] = single_pole_integral_mp(nu, t, beta, chis[g])
         return phi_cache[key]
 
     def at(poles: List[Tuple[mp.mpf, int]]) -> Kernel:
@@ -106,7 +101,7 @@ def _exact_kernels(beta: mp.mpf, chis: List[mp.mpf]) -> Callable[[List[Tuple[mp.
 
         def kernel(nu: int) -> Tuple[mp.mpf, float]:
             if nu == 0:
-                return j0_exact_mp(poles, beta, tables)
+                return j0_exact_mp(poles, beta)
             if bs is None:
                 return phi(0, poles[0][1], nu)
             j_val = mp.mpf(0)

@@ -1,12 +1,24 @@
 """Tests for the system configuration and its correlation settings."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from esrsel.channel_model import CorrelationConfig, SystemConfig
 from esrsel.errors import DomainError
+from esrsel.esr_engine import (
+    DEFAULT_BUDGET,
+    _work,
+    asymptote_line,
+    esr_asymptotic,
+    esr_os_exact,
+    esr_os_highsnr,
+    esr_ss_exact,
+    esr_ss_highsnr,
+)
+from esrsel.simulation import estimate_esr, quadrature_esr
 
 
 class TestConfigValidation:
@@ -36,6 +48,8 @@ class TestConfigValidation:
             # A bool is neither a count nor a scale.
             dict(K=True, L=2, M_D=True, M_E=1, lambda_D=10.0, lambda_E=1.0),
             dict(K=1, L=1, M_D=1, M_E=1, lambda_D=True, lambda_E=1.0),
+            # Finite as an int, but not as a float.
+            dict(K=1, L=1, M_D=1, M_E=1, lambda_D=10**400, lambda_E=1.0),
         ],
     )
     def test_bad_system_config_rejected(self, kwargs):
@@ -54,3 +68,47 @@ class TestConfigValidation:
             CorrelationConfig(rho_D=bad)
         with pytest.raises(DomainError):
             CorrelationConfig(rho_E=bad)
+
+
+# Every route the stored types reach: the six closed forms, the asymptote
+# line (which reads λ_E), the quadrature oracle and Monte Carlo.
+ROUTES = {
+    "os_exact": esr_os_exact,
+    "ss_exact": esr_ss_exact,
+    "os_highsnr": esr_os_highsnr,
+    "ss_highsnr": esr_ss_highsnr,
+    "os_asymptotic": lambda cfg: esr_asymptotic(cfg, "OS"),
+    "ss_asymptotic": lambda cfg: esr_asymptotic(cfg, "SS"),
+    "os_line": lambda cfg: asymptote_line(cfg, "OS"),
+    "ss_line": lambda cfg: asymptote_line(cfg, "SS"),
+    "quadrature": lambda cfg: quadrature_esr(cfg, "OS"),
+    "mc": lambda cfg: estimate_esr(cfg, CorrelationConfig(), "OS", 2000, 7),
+}
+
+
+class TestStoredTypes:
+    """The fields hold Python types, whatever number types built them: an
+    int per count and a float per λ."""
+
+    @pytest.mark.parametrize("kind", [Fraction, np.float32, np.float16, np.int64], ids=lambda t: t.__name__)
+    def test_lambdas_give_the_float_results_on_every_route(self, kind):
+        # Each of these λ types used to raise a bare TypeError on the closed
+        # forms, and a Fraction also in the oracle and in Monte Carlo.
+        typed, plain = SystemConfig(2, 2, 2, 2, kind(10), kind(2)), SystemConfig(2, 2, 2, 2, 10.0, 2.0)
+        assert type(typed.lambda_D) is float and type(typed.lambda_E) is float
+        assert typed == plain
+        for name, route in ROUTES.items():
+            assert route(typed) == route(plain), name
+
+    def test_counts_are_ints(self):
+        cfg = SystemConfig(np.int64(2), np.uint8(3), np.int32(2), np.int64(4), 10.0, 1.0)
+        assert [type(v) for v in (cfg.K, cfg.L, cfg.M_D, cfg.M_E)] == [int] * 4
+
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "ratio"])
+    def test_numpy_counts_do_not_wrap_the_work_estimate(self, exact):
+        # np.int64 counts used to wrap the estimate at (12,12,12,12) to about
+        # -5.4e18, which the budget admits.  Only the estimate runs here.
+        got = _work(SystemConfig(*[np.int64(12)] * 4, 1.0, 1.0), exact)
+        want = _work(SystemConfig(12, 12, 12, 12, 1.0, 1.0), exact)
+        assert type(got) is int
+        assert got == want > DEFAULT_BUDGET

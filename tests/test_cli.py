@@ -696,6 +696,20 @@ class TestExitCodes:
         assert "too narrow" in err
         assert out == ""
 
+    def test_unresolvable_small_value_maps_to_one(self, capsys, tmp_path):
+        # At -60 dB the ESR (1.4e-12 by the closed forms) is within the
+        # oracle's epsabs; it used to print 0 and exit 0.
+        path = tmp_path / "row.csv"
+        code, out, err = run_cli(
+            ["esr", "--method", "quadrature", "--k", "1", "--l", "1", "--md", "1", "--me", "1",
+             "--lambda-d-db", "-60", "--lambda-e-db", "0", "--out", str(path)],
+            capsys,
+        )
+        assert code == 1
+        assert err.startswith("error: ")
+        assert "epsabs" in err
+        assert out == "" and not path.exists()
+
     @pytest.mark.parametrize("m", ["2", "3"])
     def test_symmetric_asymptotic_ratio_is_zero(self, capsys, m):
         # The sum cancels to 0; that is the value, not a cancellation error.

@@ -19,7 +19,7 @@ import mpmath as mp
 import pytest
 
 import esrsel
-from esrsel import esr_engine
+from esrsel import esr_engine, partial_fractions
 from esrsel.channel_model import SystemConfig
 from esrsel.errors import CancellationError, ComplexityBudgetError, DomainError
 from esrsel.esr_engine import (
@@ -35,7 +35,7 @@ from esrsel.esr_engine import (
     esr_ss_exact,
     esr_ss_highsnr,
 )
-from esrsel.partial_fractions import _MAX_DPS, pf_selection, required_dps
+from esrsel.partial_fractions import _MAX_DPS, _moments, _poly_moments, pf_selection, required_dps
 from esrsel.simulation import _quadrature_esr_ratio_form, quadrature_esr
 from asymptote_reference import asymptote_offset
 from pole_set_reference import _exact_kernels, _pole_groups, member_terms, terms_per_pole_set, tuple_poles, xi
@@ -644,19 +644,27 @@ class TestOneTransmitter:
 
 
 class TestMoments:
-    """``_moments`` fills J_k on libmp values; it must give the mpf-object
-    fill bit for bit, values and envelopes."""
+    """The two incomplete-gamma fills every exact closing reads, on libmp
+    values: ``_moments`` (J_k, downward, and its ratio form) and
+    ``_poly_moments`` (P_j, upward).  Each must give the mpf-object fill bit
+    for bit, values and envelopes."""
 
     @staticmethod
-    def mpf_fill(beta, n, exact):
-        # J_0 = e^β E1(β), J_k = (β^{-k} − J_{k-1})/k; ratio form β^{-k}/k.
+    def mpf_fill(beta, n, fill):
+        # J_0 = e^β E1(β), J_k = (β^{-k} − J_{k-1})/k; ratio form β^{-k}/k;
+        # upward P_0 = 1/β, P_j = (1 + j·P_{j-1})/β, with no envelopes.
+        if fill == "upward":
+            ps = [1 / beta]
+            for j in range(1, n):
+                ps.append((1 + j * ps[-1]) / beta)
+            return ps, None
         x = 1 / beta
         inv = [mp.mpf(1)]
         for _ in range(n - 1):
             inv.append(inv[-1] * x)
         ln2 = math.log(2.0)
         mag = lambda j: float(mp.mag(j)) * ln2 if j else -math.inf
-        if not exact:
+        if fill == "ratio":
             js = [mp.mpf(0)] + [inv[k] / k for k in range(1, n)]
             return js, [mag(j) for j in js]
         js = [mp.exp(beta) * mp.e1(beta)]
@@ -668,16 +676,34 @@ class TestMoments:
             envs.append(hi + math.log1p(math.exp(lo - hi)) - math.log(k))
         return js, envs
 
-    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "ratio"])
+    @pytest.mark.parametrize("fill", ["exact", "ratio", "upward"])
     @pytest.mark.parametrize("dps", [15, 53, 120])
-    def test_matches_the_mpf_fill(self, dps, exact):
+    def test_matches_the_mpf_fill(self, dps, fill):
         with mp.workdps(dps):
             for b, n in itertools.product((1e-8, 1e-3, 0.37, 1.0, 20.0, 1e4), (1, 2, 9, 40)):
                 beta = mp.mpf(b)
-                js, envs = esr_engine._moments(beta._mpf_, n, exact)
-                want, want_envs = self.mpf_fill(beta, n, exact)
+                if fill == "upward":
+                    js, envs = _poly_moments(beta._mpf_, n), None
+                else:
+                    js, envs = _moments(beta._mpf_, n, fill == "exact")
+                want, want_envs = self.mpf_fill(beta, n, fill)
                 assert js == [j._mpf_ for j in want], (b, n)
                 assert envs == want_envs, (b, n)
+
+    def test_no_route_reads_the_gamma_table(self, monkeypatch):
+        # Every closing reads the two fills; ``_GammaTable`` is a view of
+        # them that no route calls.
+        def refuse(*args):
+            raise AssertionError("a closed form built a _GammaTable")
+
+        monkeypatch.setattr(partial_fractions, "_GammaTable", refuse)
+        routes = [esr_os_exact, esr_ss_exact, esr_os_highsnr, esr_ss_highsnr] + [
+            lambda cfg, s=s: esr_asymptotic(cfg, s) for s in ("OS", "SS")
+        ]
+        for k in (1, 2):
+            cfg = SystemConfig(k, 2, 2, 2, 10.0, LAMBDA_9DB)
+            for route in routes:
+                assert math.isfinite(route(cfg).value), (k, route)
 
 
 class TestWeightTables:

@@ -872,6 +872,17 @@ class TestQuadratureEsr:
         cfg = SystemConfig(2, 2, 2, 2, 10.0, 1e-9)
         assert rel_err(quadrature_esr(cfg, "OS").value, esr_os_exact(cfg).value) < 1e-8
 
+    @pytest.mark.parametrize("lam_d_db", [-40, -60])
+    @pytest.mark.parametrize("shape", [(1, 1, 1, 1), (2, 2, 2, 2)], ids=["1111", "2222"])
+    @pytest.mark.parametrize("scheme", ["OS", "SS"])
+    def test_value_within_epsabs_raises(self, scheme, shape, lam_d_db):
+        # The closed forms give 1.4e-8 to 1.7e-17 here.  The outer value
+        # came back at or below epsabs = 1e-12 (2e-16 at (1,1,1,1) and -40 dB,
+        # 0 at -60 dB), which the tolerance cannot resolve: a wrong value
+        # the oracle used to return.
+        with pytest.raises(OracleFailureError, match="epsabs"):
+            quadrature_esr(SystemConfig(*shape, 10.0 ** (lam_d_db / 10), 1.0), scheme)
+
 
 def _k21_once(f, a, b):
     """The single-panel K21 value: a panel limit of one stops all bisection."""

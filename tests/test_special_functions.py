@@ -1,7 +1,8 @@
-"""Tests for the incomplete-gamma tables the exact closed forms close with.
+"""Tests for the incomplete-gamma fills the exact closed forms close with.
 
-``_GammaTable(x)`` fills Γ(a, x) at consecutive integer orders from
-Γ(0, x) = E1(x) and Γ(1, x) = e^{-x}, upward and downward by recurrence.
+``_GammaTable(x)`` reads Γ(a, x) at integer orders off the two fills every
+exact closing shares: downward from E1(x) (``_moments``) for a ≤ 0, and
+upward from 1/x (``_poly_moments``) for a ≥ 1.
 Each table runs at the precision the library gives its downward fill,
 25 digits plus ``_descent_digits(x, 20)``.  Oracle values were frozen from
 adaptive quadrature of the defining integrals (mpmath tanh-sinh at 40
