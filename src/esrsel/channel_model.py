@@ -90,7 +90,10 @@ class SystemConfig:
 @dataclass(frozen=True)
 class CorrelationConfig:
     """Exponential correlation coefficients: transmitters, destination paths,
-    eavesdropper paths.  0 means i.i.d. in that dimension."""
+    eavesdropper paths.  0 means i.i.d. in that dimension.  Each ρ is
+    stored as a float, whatever real number type built it, so no
+    ``Fraction`` reaches numpy; one that lies below 1 but rounds to 1.0 is
+    refused with the rest."""
 
     rho_S: float = 0.0
     rho_D: float = 0.0
@@ -99,5 +102,6 @@ class CorrelationConfig:
     def __post_init__(self) -> None:
         for name in ("rho_S", "rho_D", "rho_E"):
             v = getattr(self, name)
-            if not (_is_real(v) and 0.0 <= v < 1.0):
+            if not (_is_real(v) and 0.0 <= v < 1.0 and float(v) < 1.0):
                 raise DomainError(f"{name} must lie in [0, 1), got {v!r}")
+            object.__setattr__(self, name, float(v))

@@ -4,11 +4,10 @@ The ESR of the selected pair is C = (1/ln 2) ∫_1^∞ (1 - F(x))/x dx with F
 the CDF of the post-selection SNR ratio.  For optimal selection (OS),
 1 - F = 1 - (1 - Q)^K with Q = Σ_l z^l V_l(x): V_l is the member table of
 subset size l, with one pole at -χ_l = -λ_D/(l λ_E), and z = e^{-x/λ_D}.
-The tables collapse the enumerated index sums into convolution powers of
-per-branch atoms (Vandermonde identities), at polynomial cost.  Each is
-built directly in the format ``pf_selection`` reads, a list of rows
-(``partial_fractions.Factor``): row n̂, of pole order M_E + n̂, maps d̂ to
-the coefficient of x^d̂.
+Each V_l is a Taylor shift of the l-th power of one truncated exponential,
+taken in exact integers that the K = 1 closing reads too, into the rows
+``pf_selection`` reads (``partial_fractions.Factor``): row n̂, of pole
+order M_E + n̂, maps d̂ to the coefficient of x^d̂.
 
 There is one entry point, ``_terms``, with two closings.  With one
 transmitter (K = 1: OS(1, L), and every SS row, since SS(K, L) is
@@ -39,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Iterator, List, Tuple
 
 import mpmath as mp
 from mpmath.libmp import fone, from_int, mpf_add, mpf_div, mpf_mul, mpf_mul_int, mpf_rdiv_int
@@ -58,6 +57,7 @@ from .partial_fractions import (
     _log_rational_assembly,
     _mag_ln,
     _moments,
+    _pow_list,
     _powers,
     pf_selection,
     required_dps,
@@ -119,75 +119,55 @@ def _norm_scheme(scheme: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# weight tables (all built inside an mp working-precision context)
+# member tables (built inside an mp working-precision context)
 
 
-def _conv2(a: Factor, b: Factor) -> Factor:
-    """The product of two tables of rows (row n̂ maps d̂ to the coefficient
-    of y^n̂ x^d̂): rows add their n̂, entries add their d̂."""
-    out: List[Dict[int, mp.mpf]] = [{} for _ in range(len(a) + len(b) - 1)]
-    for n1, row1 in enumerate(a):
-        for d1, va in sorted(row1.items()):
-            for n2, row2 in enumerate(b):
-                row = out[n1 + n2]
-                for d2, vb in sorted(row2.items()):
-                    row[d1 + d2] = row.get(d1 + d2, 0) + va * vb
-    return out
-
-
-def _w1_table(M_D: int, lam_D: mp.mpf) -> Factor:
-    """Per-branch atoms as rows: row n maps d to the coefficient of y^n x^d
-    after expanding (x(1+y)-1)^m / (λ_D^m m!) over 0 ≤ m < M_D."""
-    out: List[Dict[int, mp.mpf]] = []
-    for n in range(M_D):
-        row = {}
-        for d in range(n, M_D):
-            acc = mp.mpf(0)
-            for m in range(d, M_D):
-                acc += (
-                    (-1) ** (m - d)
-                    * math.comb(m, n)
-                    * math.comb(m - n, m - d)
-                    * mp.power(lam_D, n - m)
-                    / math.factorial(m)
-                )
-            row[d] = acc
-        out.append(row)
-    return out
+def _power_coefficients(M_D: int, L: int) -> Iterator[List[int]]:
+    """a_k = k!·[s^k] e_{M_D−1}(s)^l in exact integers, for l = 1, …, L in
+    turn, with e_n(s) = Σ_{m≤n} s^m/m!: the polynomial every closing raises
+    to the l-th power."""
+    a = [1]  # here for l = 0
+    for _ in range(L):
+        a = [sum(math.comb(k, m) * a[k - m] for m in range(max(0, k + 1 - len(a)), min(k, M_D - 1) + 1))
+             for k in range(len(a) + M_D - 1)]
+        yield a
 
 
 def _v_tables(cfg: SystemConfig, exact: bool, lam_D: mp.mpf, lam_E: mp.mpf) -> List[Factor]:
     """Member tables [V_1, …, V_L], V_l the rows ``pf_selection`` reads over
-    the pole −λ_D/(l λ_E): row n̂, of pole order M_E + n̂, maps d̂ to the
-    coefficient of x^d̂.  V_l is the l-th ``_conv2`` power of the atoms, so
-    it has l·(M_D − 1) + 1 rows, and each row is scaled once.  ``_terms``
-    builds them for OS with K ≥ 2 only; K = 1 needs no table.
+    the pole −λ_D/(l λ_E): row n̂ ≤ N = l(M_D − 1), of pole order M_E + n̂,
+    maps d̂ to the coefficient of x^d̂, each row scaled once.  Only ``_terms``
+    with K ≥ 2 builds them.
 
-    The ratio form is the exact form at β = 0: its argument x·y is
-    x(1+y) − 1 without the x − 1 part, so its atoms y^m x^m / m! sit on the
-    diagonal d̂ = n̂.  The x − 1 part is also what gives e^{-βx} and the
-    e^{l/λ_D} factor, so both drop out.
+    A branch's atoms, y^n̂ x^d̂ of Σ_{m<M_D} (x(1+y) − 1)^m/(λ_D^m m!), are
+    e_{M_D−1}(u(w − 1)) with w = x(1 + λ_D y), u = 1/λ_D, as
+    C(m, n̂)·C(m − n̂, m − d̂) = C(m, d̂)·C(d̂, n̂).  Their l-th power is
+    Σ_k a_k u^k (w − 1)^k/k!, a from ``_power_coefficients``, so before the
+    row scale V_l[n̂][d̂] = C(d̂, n̂)·λ_D^n̂·b_d̂ with b_d̂ the ``_dot`` of exact
+    integers (−1)^{k−d̂} C(k, d̂)·a_k·(N!/k!) against u^k, divided once by N!:
+    an entry that is exactly 0 (as some are at λ_D = 1) stays exactly 0.
+    The ratio form, the exact form at β = 0, drops the x − 1 part, and with
+    it e^{-βx} and e^{l/λ_D}: V_l sits on the diagonal, V_l[n̂][n̂] = a_n̂/n̂!.
     """
     L, M_E = cfg.L, cfg.M_E
-    if exact:
-        w1 = _w1_table(cfg.M_D, lam_D)
-    else:
-        w1 = [{m: mp.mpf(1) / math.factorial(m)} for m in range(cfg.M_D)]
-    lamd_me = mp.power(lam_D, M_E)
-    lame_me = mp.power(lam_E, M_E)
+    lamd_me, lame_me = mp.power(lam_D, M_E), mp.power(lam_E, M_E)
+    u_pows = _pow_list(1 / lam_D, L * (cfg.M_D - 1) + 1)
     out = []
-    wl = None
-    for l in range(1, L + 1):
-        wl = w1 if wl is None else _conv2(wl, w1)
-        sign_binom = (-1) ** (l + 1) * math.comb(L, l)
-        e_l = mp.exp(mp.mpf(l) / lam_D) if exact else None
+    for l, a in enumerate(_power_coefficients(cfg.M_D, L), 1):
+        top, f = len(a) - 1, math.factorial(len(a) - 1)
+        if exact:
+            b = [_dot([((-1) ** (k - d) * math.comb(k, d) * a[k] * (f // math.factorial(k)), u_pows[k], 0.0)
+                       for k in range(d, top + 1)])[0] / f for d in range(top + 1)]
+            e_l = mp.exp(l / lam_D)
+        else:
+            b = [mp.mpf(x) / math.factorial(k) for k, x in enumerate(a)]
         tab = []
-        for n, row in enumerate(wl):
-            s = sign_binom * lamd_me * math.perm(M_E + n - 1, n)
+        for n in range(top + 1):
+            s = (-1) ** (l + 1) * math.comb(L, l) * lamd_me * math.perm(M_E + n - 1, n)
             if exact:
-                s *= e_l
+                s *= e_l * mp.power(lam_D, n)
             scale = s / (lame_me * mp.power(mp.mpf(l), M_E + n))
-            tab.append({d: scale * v for d, v in sorted(row.items())})
+            tab.append({d: scale * math.comb(d, n) * b[d] for d in (range(n, top + 1) if exact else (n,))})
         out.append(tab)
     return out
 
@@ -209,9 +189,9 @@ def _one_transmitter_terms(cfg: SystemConfig, form: str) -> Tuple[mp.mpf, int, f
     c_l = λ_D/(l λ_E) (Frullani); the asymptotic form takes ln c_l and, for
     the q_l·r sum, its λ_D → ∞ limit H_{M_E−1} = Σ_{k<M_E} 1/k.
 
-    Each polynomial is kept as k!·(coefficient of y^k), the powers of
-    e_{M_D−1} in exact integers.  Every closing sum is a ``_dot``, and each
-    term's envelope carries those of its factors, the Γ fill's included.
+    q_l is kept as the integers of ``_power_coefficients``.  Every closing
+    sum is a ``_dot``, and each term's envelope carries those of its
+    factors, the Γ fill's included.
 
     The intermediates are libmp values, not mpf objects: each is the
     ``mpf_mul``, ``mpf_mul_int``, ``mpf_add``, ``mpf_sub``, ``mpf_div`` or
@@ -237,12 +217,7 @@ def _one_transmitter_terms(cfg: SystemConfig, form: str) -> Tuple[mp.mpf, int, f
     first = 0 if exact else 1  # the ratio form's k = 0 terms pair into a log
     outer: Terms = []
     n_terms = 0
-    a = [1]  # k!·[s^k] e_{M_D−1}(s)^l, here for l = 0
-    for l in range(1, L + 1):
-        a = [
-            sum(math.comb(k, m) * a[k - m] for m in range(max(0, k + 1 - len(a)), min(k, M_D - 1) + 1))
-            for k in range(len(a) + M_D - 1)
-        ]
+    for l, a in enumerate(_power_coefficients(M_D, L), 1):
         w = (-1) ** (l + 1) * math.comb(L, l)
         ln_a = [math.log(x) for x in a]
         if not exact:

@@ -9,13 +9,17 @@ the chosen rows into one weight table over ν, and calls one kernel per
 (pole set, ν), with the single-pole integrals φ cached per composition.
 
 Its weight tables are the library's own rows (row n̂ maps d̂ to a
-coefficient), and the c-th power of V_l is ``_conv2``'s.
+coefficient), and the c-th power of V_l is ``_conv2``'s, the bivariate
+convolution of two tables kept here.
 
-Below it, the index tuples behind the weight tables, walked literally: one
-term per choice of (m, n, u) on every path of a subset member, keyed
-(n̂, d̂), the power of a set of keyed terms as a walk over its key tuples
-(the reference for ``_conv2``), ``flat`` to key a table's rows the same way,
-and the normalisation sum Ξ.
+Below it, the member tables built the long way, to check the library's
+single integer power against: per-branch atoms expanded term by term
+(``atom_table``) and raised to ``_conv2`` powers in exact rationals
+(``member_tables``).  Then the index tuples behind the weight tables,
+walked literally: one term per choice of (m, n, u) on every path of a
+subset member, keyed (n̂, d̂), the power of a set of keyed terms as a walk
+over its key tuples (the reference for ``_conv2``), ``flat`` to key a
+table's rows the same way, and the normalisation sum Ξ.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Tuple
 import mpmath as mp
 
 from esrsel.channel_model import SystemConfig
-from esrsel.esr_engine import _conv2, _v_tables
+from esrsel.esr_engine import _v_tables
 from esrsel.partial_fractions import (
     Factor,
     _mag_ln,
@@ -72,6 +76,19 @@ def _pole_groups(K: int, L: int) -> Iterator[Tuple[int, int, List[Tuple[int, int
         for comp in _compositions(k, L):
             active = [(l, c) for l, c in zip(range(1, L + 1), comp) if c > 0]
             yield k, outer * _multinomial(k, comp), active
+
+
+def _conv2(a: Factor, b: Factor) -> Factor:
+    """The product of two tables of rows (row n̂ maps d̂ to the coefficient
+    of y^n̂ x^d̂): rows add their n̂, entries add their d̂."""
+    out: List[Dict[int, mp.mpf]] = [{} for _ in range(len(a) + len(b) - 1)]
+    for n1, row1 in enumerate(a):
+        for d1, va in sorted(row1.items()):
+            for n2, row2 in enumerate(b):
+                row = out[n1 + n2]
+                for d2, vb in sorted(row2.items()):
+                    row[d1 + d2] = row.get(d1 + d2, 0) + va * vb
+    return out
 
 
 def _conv1(a: Dict[int, mp.mpf], b: Dict[int, mp.mpf]) -> Dict[int, mp.mpf]:
@@ -179,6 +196,49 @@ def terms_per_pole_set(cfg: SystemConfig, form: str) -> Tuple[mp.mpf, int, float
                 peak = max(peak, log_w0 + _mag_ln(gv) + j_peak)
     ln2 = mp.log(2)
     return total / ln2, n_terms, peak - float(mp.log(ln2))
+
+
+# ---------------------------------------------------------------------------
+# member tables by convolution
+
+Rows = List[Dict[int, Fraction]]
+
+
+def atom_table(M_D: int, lam_D: Fraction) -> Rows:
+    """Per-branch atoms as rows, in exact rationals: row n maps d to the
+    coefficient of y^n x^d after expanding (x(1+y) − 1)^m / (λ_D^m m!) over
+    0 ≤ m < M_D term by term."""
+    return [
+        {
+            d: sum(
+                (-1) ** (m - d) * math.comb(m, n) * math.comb(m - n, m - d) * lam_D ** (n - m) / math.factorial(m)
+                for m in range(d, M_D)
+            )
+            for d in range(n, M_D)
+        }
+        for n in range(M_D)
+    ]
+
+
+def member_tables(cfg: SystemConfig, exact: bool) -> List[Rows]:
+    """``_v_tables``' [V_1, …, V_L] the long way, in exact rationals: V_l is
+    the l-th ``_conv2`` power of the atoms (in the ratio form, the diagonal
+    1/m!), each row n̂ scaled by (−1)^{l+1} C(L, l)·(λ_D/λ_E)^{M_E}·
+    (M_E)_n̂ / l^{M_E+n̂}.  In the exact form ``_v_tables`` carries one more
+    factor per table, e^{l/λ_D}, which is not rational."""
+    L, M_E = cfg.L, cfg.M_E
+    lam_D, lam_E = Fraction(cfg.lambda_D), Fraction(cfg.lambda_E)
+    w1 = atom_table(cfg.M_D, lam_D) if exact else [{m: Fraction(1, math.factorial(m))} for m in range(cfg.M_D)]
+    out = []
+    wl = None
+    for l in range(1, L + 1):
+        wl = w1 if wl is None else _conv2(wl, w1)
+        head = (-1) ** (l + 1) * math.comb(L, l) * (lam_D / lam_E) ** M_E
+        out.append([
+            {d: head * math.perm(M_E + n - 1, n) / Fraction(l) ** (M_E + n) * v for d, v in row.items()}
+            for n, row in enumerate(wl)
+        ])
+    return out
 
 
 # ---------------------------------------------------------------------------

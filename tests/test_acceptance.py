@@ -39,7 +39,6 @@ import pytest
 
 from esrsel.channel_model import CorrelationConfig, SystemConfig
 from esrsel.esr_engine import (
-    _conv2,
     _v_tables,
     asymptote_line,
     esr_os_exact,
@@ -56,7 +55,7 @@ from esrsel.simulation import (
     paired_esr_difference,
     quadrature_esr,
 )
-from pole_set_reference import flat, literal_power, member_terms, tuple_poles, xi
+from pole_set_reference import _conv2, flat, literal_power, member_terms, tuple_poles, xi
 
 LAMBDA_9DB = 10.0 ** 0.9  # 9 dB in linear units
 
@@ -399,9 +398,10 @@ def test_criterion_8_identity_suites():
         for k in (1, 2, 3):
             for m_e in (1, 2, 3):
                 assert abs(xi(m_hat, k, m_e) - 1.0) <= 1e-9
-    # Power-of-sums re-summation: ``_conv2`` powers of random tables over
-    # (i, j, v) triples, in row j, entry i − v, as the weight tables place
-    # (n, m − u), entry by entry against a literal walk over the key tuples.
+    # Power-of-sums re-summation, as the test references run it: their
+    # ``_conv2`` powers of random tables over (i, j, v) triples, in row j,
+    # entry i − v, as the weight tables place (n, m − u), entry by entry
+    # against a literal walk over the key tuples.
     rng = random.Random(20240820)
     with mp.workdps(30):
         for mu in (0, 1, 2, 3):
@@ -422,8 +422,9 @@ def test_criterion_8_identity_suites():
                 for key in want:
                     assert abs(got[key] - want[key]) <= 1e-12 * max(1.0, abs(lhs))
                 assert abs(mp.fsum(got.values()) - lhs) <= 1e-12 * max(1.0, abs(lhs))
-        # The member tables the closed forms run on, against the literal
-        # (m, n, u)-tuple sums of their coefficients.
+        # The member tables the closed forms run on, one integer power
+        # shifted to rows, against the literal (m, n, u)-tuple sums of their
+        # coefficients.
         for L, m_d in itertools.product((1, 2, 3), repeat=2):
             cfg = SystemConfig(1, L, m_d, 2, 10.0, LAMBDA_9DB)
             tables = _v_tables(cfg, True, mp.mpf(cfg.lambda_D), mp.mpf(cfg.lambda_E))

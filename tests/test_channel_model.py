@@ -18,7 +18,7 @@ from esrsel.esr_engine import (
     esr_ss_exact,
     esr_ss_highsnr,
 )
-from esrsel.simulation import estimate_esr, quadrature_esr
+from esrsel.simulation import estimate_esr, paired_esr_difference, quadrature_esr
 
 
 class TestConfigValidation:
@@ -60,7 +60,8 @@ class TestConfigValidation:
         cfg = SystemConfig(np.int64(2), 1, 2, np.uint8(3), np.float64(10.0), 1)
         assert (cfg.K, cfg.M_E) == (2, 3)
 
-    @pytest.mark.parametrize("bad", [-0.1, 1.0, 1.5, math.nan, "0.5", False, True])
+    # The last one lies below 1 but is 1.0 as the float that would be stored.
+    @pytest.mark.parametrize("bad", [-0.1, 1.0, 1.5, math.nan, "0.5", False, True, Fraction(2**60 - 1, 2**60)])
     def test_correlation_exponent_bounds(self, bad):
         with pytest.raises(DomainError):
             CorrelationConfig(rho_S=bad)
@@ -88,7 +89,7 @@ ROUTES = {
 
 class TestStoredTypes:
     """The fields hold Python types, whatever number types built them: an
-    int per count and a float per λ."""
+    int per count and a float per λ or ρ."""
 
     @pytest.mark.parametrize("kind", [Fraction, np.float32, np.float16, np.int64], ids=lambda t: t.__name__)
     def test_lambdas_give_the_float_results_on_every_route(self, kind):
@@ -112,3 +113,19 @@ class TestStoredTypes:
         want = _work(SystemConfig(12, 12, 12, 12, 1.0, 1.0), exact)
         assert type(got) is int
         assert got == want > DEFAULT_BUDGET
+
+    @pytest.mark.parametrize("kind", [Fraction, np.float32, np.float16, int], ids=lambda t: t.__name__)
+    def test_rhos_give_the_float_results_in_monte_carlo(self, kind):
+        # A Fraction ρ used to pass the check and then fail inside numpy's
+        # draws.  int covers the one integer ρ there is, 0.
+        rhos = (0, 0, 0) if kind is int else (kind(1) / 2, kind(1) / 4, kind(3) / 4)
+        typed, plain = CorrelationConfig(*rhos), CorrelationConfig(*map(float, rhos))
+        assert [type(v) for v in (typed.rho_S, typed.rho_D, typed.rho_E)] == [float] * 3
+        assert typed == plain
+        cfg, iid = SystemConfig(2, 2, 2, 2, 10.0, 1.0), CorrelationConfig()
+        for scheme in ("OS", "SS"):
+            got, want = estimate_esr(cfg, typed, scheme, 2000, 3), estimate_esr(cfg, plain, scheme, 2000, 3)
+            assert (got.mean.hex(), got.stderr.hex()) == (want.mean.hex(), want.stderr.hex()), scheme
+            got = paired_esr_difference(cfg, typed, iid, scheme, 2000, 3)
+            want = paired_esr_difference(cfg, plain, iid, scheme, 2000, 3)
+            assert (got.mean.hex(), got.stderr.hex()) == (want.mean.hex(), want.stderr.hex()), scheme

@@ -38,7 +38,7 @@ from esrsel.esr_engine import (
 from esrsel.partial_fractions import _MAX_DPS, _moments, _poly_moments, pf_selection, required_dps
 from esrsel.simulation import _quadrature_esr_ratio_form, quadrature_esr
 from asymptote_reference import asymptote_offset
-from pole_set_reference import _exact_kernels, _pole_groups, member_terms, terms_per_pole_set, tuple_poles, xi
+from pole_set_reference import _exact_kernels, _pole_groups, member_tables, member_terms, terms_per_pole_set, tuple_poles, xi
 
 # Quadrature-oracle values (frozen first).
 X1 = 2.1004124800191777  # (K,L,M_D,M_E,λ_D,λ_E) = (1,1,1,1,10,1), either scheme
@@ -731,6 +731,31 @@ class TestWeightTables:
                     # powers of x run from n̂ up to the last row's n̂.
                     allowed = set(range(n, top + 1)) if exact else {n}
                     assert set(row) <= allowed, (cfg, l, n, sorted(row))
+
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "ratio"])
+    def test_entries_match_the_convolution_powers_in_rationals(self, exact):
+        # The library takes one integer power and shifts it; the reference
+        # convolves atoms written out term by term, in Fractions.  Some exact
+        # entries at λ_D = 1 are exactly 0 and must come out exactly 0, not
+        # as rounding noise.
+        dps = 30
+        shapes = itertools.product((1, 2, 3), (1, 2, 3, 4), (1, 2))
+        for (L, m_d, m_e), lam_d, lam_e in itertools.product(shapes, (0.5, 1.0, 2.0, 64.0), (1.0, 0.25)):
+            cfg = SystemConfig(2, L, m_d, m_e, lam_d, lam_e)
+            want = member_tables(cfg, exact)
+            with mp.workdps(dps):
+                got = _v_tables(cfg, exact, mp.mpf(lam_d), mp.mpf(lam_e))
+                assert len(got) == len(want) == L, cfg
+                for l, (rows, ref) in enumerate(zip(got, want), 1):
+                    assert [set(row) for row in rows] == [set(row) for row in ref], (cfg, l)
+                    e_l = mp.exp(mp.mpf(l) / lam_d) if exact else 1
+                    for n, (row, ref_row) in enumerate(zip(rows, ref)):
+                        for d, v in row.items():
+                            if ref_row[d] == 0:
+                                assert v == 0, (cfg, l, n, d, v)
+                                continue
+                            w = mp.mpf(ref_row[d].numerator) / ref_row[d].denominator * e_l
+                            assert abs(v - w) <= mp.mpf(10) ** (10 - dps) * abs(w), (cfg, l, n, d)
 
 
 class TestSelectionDecomposition:

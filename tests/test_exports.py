@@ -1,6 +1,7 @@
 """The package's public names are exactly what its modules export, and the
 internal names the benchmark's tracer wraps are still there."""
 
+import ast
 import importlib
 import runpy
 import types
@@ -55,3 +56,27 @@ def test_tracer_boundaries_resolve():
         if not hasattr(importlib.import_module(module), attr)
     ]
     assert tracer["BOUNDARIES"] and not missing
+
+
+# The closed forms and what they import: no numpy, no scipy.
+CLOSED_FORM = ("channel_model", "errors", "esr_engine", "partial_fractions")
+
+
+@pytest.mark.parametrize("name", CLOSED_FORM)
+def test_closed_form_modules_import_no_numpy_or_scipy(name):
+    # Parsed, not imported: every import statement, at any depth, names
+    # neither package, and a relative one stays inside this set, so the
+    # modules it reaches are checked too.
+    path = Path(esrsel.__file__).with_name(f"{name}.py")
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            targets = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            targets = [node.module]
+        elif isinstance(node, ast.ImportFrom):
+            targets = [node.module] if node.module else [alias.name for alias in node.names]
+            assert set(targets) <= set(CLOSED_FORM), (name, targets)
+            continue
+        else:
+            continue
+        assert not {t.split(".")[0] for t in targets} & {"numpy", "scipy"}, (name, targets)

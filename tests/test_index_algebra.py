@@ -1,11 +1,12 @@
-"""The product-of-sums re-summation as the library runs it.
+"""The product-of-sums re-summation as the reference runs it.
 
 The exact closed forms raise sums over (m, n, u) index triples to powers.
-``esr_engine._conv2`` collapses each power into one table of rows over the
-hat sums; here every power it forms is compared entry by entry (through
-``flat``) with a literal walk over the key tuples, and its total with the
-power of the sum.  A triple (i, j, v) goes to row j, entry i − v, as the
-weight tables place it: the pole order's n and the power of x.
+``pole_set_reference._conv2``, the convolution the test references build
+member tables and their powers with, collapses each power into one table of
+rows over the hat sums; here every power it forms is compared entry by
+entry (through ``flat``) with a literal walk over the key tuples, and its
+total with the power of the sum.  A triple (i, j, v) goes to row j, entry
+i − v, as the weight tables place it: the pole order's n and the power of x.
 """
 
 import functools
@@ -16,8 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from esrsel.esr_engine import _conv2
-from pole_set_reference import flat, literal_power
+from pole_set_reference import _conv2, flat, literal_power
 
 
 def triples(mu):
